@@ -138,10 +138,10 @@ class CountTable:
     def rows_for_entries(self, entries: np.ndarray) -> np.ndarray:
         """Concrete row indices (into the stored order) for the entries,
         in key order."""
-        pieces = [
-            np.arange(self.offsets[idx], self.offsets[idx] + self.counts[idx])
-            for idx in np.sort(entries)
-        ]
-        if not pieces:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate(pieces)
+        entries = np.sort(entries)
+        counts = self.counts[entries]
+        # output position k in entry i's run is row offsets[i] + (k - the
+        # run's first output position)
+        run_first = np.cumsum(counts) - counts
+        shift = np.repeat(self.offsets[entries] - run_first, counts)
+        return shift + np.arange(len(shift), dtype=np.int64)

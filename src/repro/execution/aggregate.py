@@ -12,6 +12,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .join_utils import factorize, pack_keys
+
 __all__ = [
     "AggSpec",
     "MergeSpec",
@@ -51,16 +53,18 @@ def group_rows(key_columns: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarra
     """Factorise rows by key tuple.
 
     Returns ``(group_index_per_row, representative_row_per_group,
-    num_groups)``; group numbering follows key sort order.
+    num_groups)``; group numbering follows key sort order and each
+    representative is the group's first row.
     """
     if not key_columns:
         raise ValueError("group_rows requires at least one key column")
-    codes = np.zeros(len(key_columns[0]), dtype=np.int64)
-    for column in key_columns:
-        uniques, inverse = np.unique(column, return_inverse=True)
-        codes = codes * np.int64(len(uniques)) + inverse.astype(np.int64)
-    uniques, first_rows, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    return inverse.astype(np.int64), first_rows.astype(np.int64), len(uniques)
+    group_index, num_groups = pack_keys(key_columns)
+    if len(key_columns) > 1:
+        group_index, num_groups = factorize(group_index)
+    n = len(group_index)
+    first_rows = np.full(num_groups, n, dtype=np.int64)
+    np.minimum.at(first_rows, group_index, np.arange(n, dtype=np.int64))
+    return group_index, first_rows, num_groups
 
 
 def apply_aggregate(
