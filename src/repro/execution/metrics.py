@@ -311,6 +311,15 @@ class ExecutionMetrics:
         if counter:
             self.counters[counter] = self.counters.get(counter, 0.0) + seconds
 
+    def add_charges(self, other: "ExecutionMetrics") -> None:
+        """Add a finished execution's IO/CPU charges and scanned-row
+        counts — the fields every merge of executions (query stages,
+        parallel fragments, served queries) folds the same way."""
+        self.charge_io(other.io_bytes, other.io_accesses, other.io_seconds)
+        self.charge_cpu(other.cpu_seconds)
+        self.rows_scanned += other.rows_scanned
+        self.delta_rows_scanned += other.delta_rows_scanned
+
     def note(self, message: str) -> None:
         self.notes.append(message)
 

@@ -6,8 +6,9 @@ The eighth pillar.  Everything else in the engine produces *numbers*
 passive by construction, so simulated charges and results are
 bit-identical with observability on or off:
 
-* :mod:`repro.observe.spans` — nested span model over both clocks
-  (wall-measured planning phases, metrics-derived simulated timelines);
+* :mod:`repro.observe.spans` — nested wall-clock spans over the
+  planning phases (the simulated timeline stays in
+  ``ExecutionMetrics.fragments``);
 * :mod:`repro.observe.trace_events` — Chrome trace-event (Perfetto)
   export of scheduler timelines: workers as lanes, fragments as slices,
   IO contention as sub-slices, exchanges as flow arrows;
@@ -16,6 +17,9 @@ bit-identical with observability on or off:
   CLIs' ``--json`` modes and the structured benchmark reports;
 * :mod:`repro.observe.registry` — process-wide counters/gauges (cache
   hits, compactions, epoch bumps) snapshotted into every record;
+* :mod:`repro.observe.sink` — the CLIs' shared fan-out of finished
+  executions to trace, query log and ``--json`` records, and the flag
+  group that drives it;
 * :mod:`repro.observe.history` — the benchmark history ledger:
   schema-versioned ``BENCH_<name>.json`` trajectories at the repo
   root, one record per benchmark run (git SHA, timestamp, host, flat
@@ -64,7 +68,8 @@ from .regress import (
     metric_direction,
 )
 from .registry import REGISTRY, MetricsRegistry
-from .spans import Span, SpanTracer, fragment_spans, operator_spans, query_span
+from .sink import ObservabilitySink, add_run_flags
+from .spans import Span, SpanTracer
 from .trace_events import TraceBuilder, validate_trace, validate_trace_events
 
 __all__ = [
@@ -97,11 +102,10 @@ __all__ = [
     "metric_direction",
     "REGISTRY",
     "MetricsRegistry",
+    "ObservabilitySink",
+    "add_run_flags",
     "Span",
     "SpanTracer",
-    "fragment_spans",
-    "operator_spans",
-    "query_span",
     "TraceBuilder",
     "validate_trace",
     "validate_trace_events",

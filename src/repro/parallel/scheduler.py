@@ -280,13 +280,6 @@ class TimelineSimulator:
             )
         return completed
 
-    def busy_seconds(self) -> float:
-        """Total worker-occupied seconds over completed works."""
-        return sum(
-            self.slots[i].end_seconds - self.slots[i].start_seconds
-            for i in self._completed
-        )
-
 
 def simulate_schedule(
     works: List[FragmentWork],
@@ -407,10 +400,7 @@ def merge_parallel_metrics(
         metrics = fragment_metrics[fragment.index]
         slot = slot_of[fragment.index]
         relation = results[fragment.index]
-        merged.charge_io(metrics.io_bytes, metrics.io_accesses, metrics.io_seconds)
-        merged.charge_cpu(metrics.cpu_seconds)
-        merged.rows_scanned += metrics.rows_scanned
-        merged.delta_rows_scanned += metrics.delta_rows_scanned
+        merged.add_charges(metrics)
         for key, value in metrics.counters.items():
             merged.counters[key] = merged.counters.get(key, 0.0) + value
         merged.notes.extend(f"[f{fragment.index}] {note}" for note in metrics.notes)

@@ -25,7 +25,7 @@ property (results computed exactly once, time modelled deterministically):
 See ``docs/serving.md`` for the model and its invariants.
 """
 
-from .differential import ServingDifferentialReport, run_serving_differential
+from .differential import run_serving_differential
 from .engine import ServingEngine
 from .metrics import QueryRecord, ServingReport, StreamStats, serving_trace
 from .policies import (
@@ -68,6 +68,5 @@ __all__ = [
     "GeneratedRefreshStream",
     "TpchRefreshStream",
     "capture_tpch_items",
-    "ServingDifferentialReport",
     "run_serving_differential",
 ]

@@ -15,33 +15,30 @@ checks it by replay:
    plans and batches sample literals from the current data, so order is
    identity), apply each commit, and execute each query **solo** through
    a plain executor at exactly the state the serving run pinned;
-3. compare bit-for-bit (:func:`~repro.workload.differential.bitwise_mismatch`);
-   plans whose contracts allow reordering (co-partition gather) or
-   re-aggregation (merge agg) fall back to the normalized-multiset
-   comparison with per-dtype tolerances.  Optionally every solo result
-   is additionally checked against the naive reference evaluator —
-   reusing the update-differential oracle's machinery end to end.
+3. compare through the workload oracle's one comparison
+   (:func:`~repro.workload.differential.result_mismatch`): bit-for-bit,
+   or — for plans whose contracts allow reordering (co-partition gather)
+   or re-aggregation (merge agg) — as normalized multisets with
+   per-dtype tolerances.  Optionally every served result is also checked
+   against the naive reference evaluator.
 
 Epochs are cross-checked too: at each replayed execution the rebuilt
 database must sit at the very epochs the serving query pinned, or the
-replay (and hence the MVCC bookkeeping) is broken.
+replay (and hence the MVCC bookkeeping) is broken.  Divergences and
+counts land in the same :class:`~repro.workload.differential.WorkloadReport`
+the sweeps produce.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..execution.cost import CostModel
 from ..planner.executor import ExecutionOptions, Executor
 from ..schemes.base import PhysicalDatabase
 from ..storage.io_model import DiskModel
-from ..workload.differential import (
-    bitwise_mismatch,
-    column_tolerances,
-    normalized_rows,
-    rows_match,
-)
+from ..workload.differential import Divergence, WorkloadReport, result_mismatch
 from ..workload.reference import evaluate_reference
 from .engine import ServingEngine
 from .metrics import QueryRecord, ServingReport
@@ -49,84 +46,7 @@ from .snapshot import EpochSnapshot
 from .streams import GeneratedQueryStream, GeneratedRefreshStream
 from ..updates.session import UpdateSession
 
-__all__ = [
-    "ServingDivergence",
-    "ServingDifferentialReport",
-    "run_serving_differential",
-]
-
-
-@dataclass
-class ServingDivergence:
-    """One served query that failed its solo-replay (or reference)
-    check."""
-
-    scheme: str
-    policy: str
-    stream: str
-    seq: int
-    description: str
-    check: str                    # "solo" | "reference" | "epoch"
-    detail: str
-
-    def render(self) -> str:
-        return (
-            f"DIVERGENCE scheme={self.scheme} policy={self.policy} "
-            f"stream={self.stream} seq={self.seq} check={self.check}\n"
-            f"  query: {self.description}\n"
-            f"  {self.detail}"
-        )
-
-
-@dataclass
-class ServingDifferentialReport:
-    """Outcome of one serving-vs-solo sweep."""
-
-    seed: int
-    policy: str
-    workers: int
-    backend: str
-    queries_checked: int = 0
-    commits_replayed: int = 0
-    reference_checks: int = 0
-    divergences: List[ServingDivergence] = field(default_factory=list)
-    serving_reports: Dict[str, ServingReport] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.divergences
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "policy": self.policy,
-            "workers": self.workers,
-            "backend": self.backend,
-            "queries_checked": self.queries_checked,
-            "commits_replayed": self.commits_replayed,
-            "reference_checks": self.reference_checks,
-            "divergences": len(self.divergences),
-            "ok": self.ok,
-            "schemes": {
-                scheme: report.to_dict()
-                for scheme, report in self.serving_reports.items()
-            },
-        }
-
-    def render(self) -> str:
-        lines = [
-            f"serving differential: seed={self.seed} policy={self.policy} "
-            f"workers={self.workers} backend={self.backend}",
-            f"  {self.queries_checked} served queries checked against solo "
-            f"replay, {self.commits_replayed} commits replayed, "
-            f"{self.reference_checks} reference checks",
-        ]
-        for scheme, report in self.serving_reports.items():
-            lines.append(report.render())
-        for divergence in self.divergences:
-            lines.append(divergence.render())
-        lines.append("PASS" if self.ok else "FAIL")
-        return "\n".join(lines)
+__all__ = ["run_serving_differential"]
 
 
 def _stream_seed(seed: int, position: int) -> int:
@@ -148,32 +68,48 @@ def run_serving_differential(
     check_reference: bool = False,
     fail_fast: bool = False,
     progress: Optional[Callable[[str, int], None]] = None,
-) -> ServingDifferentialReport:
+    repro_flags: str = "",
+    observer: Optional[Callable] = None,
+) -> WorkloadReport:
     """Serve, replay solo, compare.  ``build`` must return a *fresh*
     identical ``{scheme: PhysicalDatabase}`` mapping on every call (the
-    serving run mutates its copy; the replay needs a pristine one)."""
+    serving run mutates its copy; the replay needs a pristine one).
+
+    ``repro_flags`` names the CLI flags that rebuild the same database
+    (``--sf``, ``--datagen-seed``).  ``observer`` is called once per
+    served query with the arguments of
+    :meth:`repro.observe.ObservabilitySink.observe`; the serving
+    timelines themselves are in the report's ``serving_reports``."""
     options = options or ExecutionOptions()
-    report = ServingDifferentialReport(
-        seed=seed,
-        policy=policy,
-        workers=max(int(options.workers), 1),
-        backend=options.backend,
+    report = WorkloadReport(seed=seed, queries=num_streams * queries_per_stream)
+    reproduce = (
+        f"--seed {seed} --streams {num_streams} "
+        f"--queries {num_streams * queries_per_stream}"
+        + (f" --updates {refresh_rounds}" if refresh_rounds else "")
+        + f" --workers {max(int(options.workers), 1)} --backend {options.backend}"
+        f" --policy {policy}"
+        + (f" --max-concurrent {max_concurrent}" if max_concurrent else "")
+        + (f" {repro_flags}" if repro_flags else "")
     )
 
+    streams = partial(
+        _build_streams, seed=seed, num_streams=num_streams,
+        queries_per_stream=queries_per_stream, refresh_rounds=refresh_rounds,
+    )
     first = build()
     wanted = list(schemes) if schemes is not None else list(first)
     for scheme in wanted:
         pdbs = first if first is not None else build()
         first = None
         serving_report = _serve_once(
-            pdbs[scheme], seed, num_streams, queries_per_stream,
-            refresh_rounds, policy, options, max_concurrent, disk, costs,
+            pdbs[scheme], streams, policy, options, max_concurrent, disk,
+            costs, observer,
         )
         report.serving_reports[scheme] = serving_report
         _replay_and_compare(
-            report, serving_report, build()[scheme], seed, num_streams,
-            queries_per_stream, refresh_rounds, options, disk, costs,
-            check_reference=check_reference, fail_fast=fail_fast,
+            report, serving_report, build()[scheme], streams, options, disk,
+            costs, check_reference=check_reference, fail_fast=fail_fast,
+            reproduce=f"{reproduce} --schemes {scheme}",
         )
         if progress is not None:
             progress(scheme, len(report.divergences))
@@ -182,71 +118,60 @@ def run_serving_differential(
     return report
 
 
-def _build_query_streams(
-    db, seed: int, num_streams: int, queries_per_stream: int
-) -> List[GeneratedQueryStream]:
-    return [
+def _build_streams(
+    db, seed: int, num_streams: int, queries_per_stream: int,
+    refresh_rounds: int,
+) -> Tuple[List[GeneratedQueryStream], List[GeneratedRefreshStream]]:
+    """The generated query streams (and the refresh stream, if any) —
+    built identically for the serving run and for its replay."""
+    query_streams = [
         GeneratedQueryStream(
             f"s{i}", db, _stream_seed(seed, i), queries_per_stream
         )
         for i in range(num_streams)
     ]
-
-
-def _serve_once(
-    pdb, seed, num_streams, queries_per_stream, refresh_rounds,
-    policy, options, max_concurrent, disk, costs,
-) -> ServingReport:
-    query_streams = _build_query_streams(
-        pdb.database, seed, num_streams, queries_per_stream
-    )
     refresh_streams = []
     if refresh_rounds > 0:
         refresh_streams.append(
             GeneratedRefreshStream(
-                "rf", pdb.database, _stream_seed(seed, -1), refresh_rounds
+                "rf", db, _stream_seed(seed, -1), refresh_rounds
             )
         )
+    return query_streams, refresh_streams
+
+
+def _serve_once(
+    pdb, streams, policy, options, max_concurrent, disk, costs, observer,
+) -> ServingReport:
+    query_streams, refresh_streams = streams(pdb.database)
     with ServingEngine(
         pdb, disk=disk, costs=costs, options=options, policy=policy,
         max_concurrent=max_concurrent, keep_results=True,
     ) as engine:
-        return engine.serve(query_streams, refresh_streams)
+        return engine.serve(query_streams, refresh_streams, observer=observer)
 
 
 def _replay_and_compare(
-    report: ServingDifferentialReport,
+    report: WorkloadReport,
     serving_report: ServingReport,
     pdb,
-    seed: int,
-    num_streams: int,
-    queries_per_stream: int,
-    refresh_rounds: int,
+    streams,
     options: ExecutionOptions,
     disk,
     costs,
     check_reference: bool,
     fail_fast: bool,
+    reproduce: str,
 ) -> None:
     """Walk the serving run's event log against a pristine database."""
     db = pdb.database
-    query_streams = {
-        s.name: s
-        for s in _build_query_streams(
-            db, seed, num_streams, queries_per_stream
-        )
-    }
-    refresh_streams = {}
-    if refresh_rounds > 0:
-        stream = GeneratedRefreshStream(
-            "rf", db, _stream_seed(seed, -1), refresh_rounds
-        )
-        refresh_streams[stream.name] = stream
+    query_list, refresh_list = streams(db)
+    query_streams = {s.name: s for s in query_list}
+    refresh_streams = {s.name: s for s in refresh_list}
     records: Dict[tuple, QueryRecord] = {
         (r.stream, r.seq): r for r in serving_report.queries
     }
     items: Dict[tuple, object] = {}
-    scheme = serving_report.scheme
 
     with Executor(pdb, disk=disk, costs=costs, options=options) as executor:
         for event in serving_report.events:
@@ -258,40 +183,41 @@ def _replay_and_compare(
             elif kind == "commit":
                 session = UpdateSession(pdb, disk=disk, costs=costs)
                 description = refresh_streams[stream_name].apply(index, session)
-                if description is not None:
-                    session.commit()
-                report.commits_replayed += 1
+                report.count_commit(
+                    session.commit() if description is not None else None
+                )
             elif kind == "execute":
                 item = items.pop((stream_name, index))
                 record = records[(stream_name, index)]
                 _check_one(
-                    report, serving_report, executor, db, item, record, scheme,
-                    check_reference=check_reference,
+                    report, serving_report, executor, db, item, record,
+                    reproduce, check_reference=check_reference,
                 )
                 if report.divergences and fail_fast:
                     return
 
 
 def _check_one(
-    report: ServingDifferentialReport,
+    report: WorkloadReport,
     serving_report: ServingReport,
     executor: Executor,
     db,
     item,
     record: QueryRecord,
-    scheme: str,
+    reproduce: str,
     check_reference: bool,
 ) -> None:
     def diverge(check: str, detail: str) -> None:
         report.divergences.append(
-            ServingDivergence(
-                scheme=scheme,
-                policy=serving_report.policy,
-                stream=record.stream,
-                seq=record.seq,
-                description=record.description,
+            Divergence(
+                seed=report.seed,
+                index=record.seq,
+                scheme=serving_report.scheme,
+                variant=f"{serving_report.policy}/{record.stream}/{record.seq}",
                 check=check,
+                description=record.description,
                 detail=detail,
+                reproduce=reproduce,
             )
         )
 
@@ -310,39 +236,19 @@ def _check_one(
         return
 
     solo = executor.execute(item.plan).relation
-    report.queries_checked += 1
-    detail = bitwise_mismatch(solo, record.relation)
+    report.executions += 1
+    # plans whose contracts allow reordering or re-aggregation match
+    # their solo run as a multiset; everything else bit-for-bit
+    detail = result_mismatch(
+        solo, record.relation,
+        exact=not (record.reorders or record.reaggregates), report=report,
+    )
     if detail is not None:
-        if record.reorders or record.reaggregates:
-            names = sorted(solo.column_names)
-            expected = normalized_rows(solo.columns, names)
-            got = normalized_rows(record.relation.columns, names)
-            tolerances = column_tolerances(
-                names, solo.columns, record.relation.columns
-            )
-            if not rows_match(expected, got, tolerances):
-                diverge("solo", f"order-insensitive mismatch: {detail}")
-        else:
-            diverge("solo", detail)
+        diverge("solo", detail)
     if check_reference:
-        reference = evaluate_reference(db, item.plan)
-        names = sorted(reference.visible_names)
-        got_names = sorted(record.relation.column_names)
-        if names != got_names:
-            diverge(
-                "reference",
-                f"column mismatch: reference {names}, served {got_names}",
-            )
-            return
-        expected = normalized_rows(reference.columns, names)
-        got = normalized_rows(record.relation.columns, names)
-        tolerances = column_tolerances(
-            names, reference.columns, record.relation.columns
-        )
         report.reference_checks += 1
-        if not rows_match(expected, got, tolerances):
-            diverge(
-                "reference",
-                f"served result differs from the naive reference "
-                f"({len(expected)} vs {len(got)} rows)",
-            )
+        detail = result_mismatch(
+            evaluate_reference(db, item.plan), record.relation, report=report
+        )
+        if detail is not None:
+            diverge("reference", detail)

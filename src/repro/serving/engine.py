@@ -134,9 +134,11 @@ class ServingEngine:
         self,
         query_streams: Sequence[QueryStream],
         refresh_streams: Sequence[RefreshStream] = (),
-        observer: Optional[Callable[[QueryRecord], None]] = None,
+        observer: Optional[Callable] = None,
     ) -> ServingReport:
-        """Run every stream to exhaustion; returns the full report."""
+        """Run every stream to exhaustion; returns the full report.
+        ``observer`` is called once per finished query with the
+        arguments of :meth:`repro.observe.ObservabilitySink.observe`."""
         names = [s.name for s in list(query_streams) + list(refresh_streams)]
         if len(set(names)) != len(names):
             raise ValueError(f"stream names must be unique: {names}")
@@ -147,6 +149,7 @@ class ServingEngine:
             policy=self.policy.name,
             workers=self.workers,
             max_concurrent=self.max_concurrent,
+            backend=self.options.backend,
         )
         sim = TimelineSimulator(
             self.workers, stream_rate=self.disk.stream_rate
@@ -172,7 +175,7 @@ class _ServeState:
     engine: ServingEngine
     sim: TimelineSimulator
     report: ServingReport
-    observer: Optional[Callable[[QueryRecord], None]]
+    observer: Optional[Callable]
     heap: list = field(default_factory=list)
     waiting: List[QueryTicket] = field(default_factory=list)
     inflight: int = 0
@@ -314,12 +317,7 @@ class _ServeState:
             final_fragment = parallel.final
             for fragment in parallel.fragments:
                 metrics = fragment_metrics[fragment.index]
-                merged.charge_io(
-                    metrics.io_bytes, metrics.io_accesses, metrics.io_seconds
-                )
-                merged.charge_cpu(metrics.cpu_seconds)
-                merged.rows_scanned += metrics.rows_scanned
-                merged.delta_rows_scanned += metrics.delta_rows_scanned
+                merged.add_charges(metrics)
                 label = f"{ticket.description} f{fragment.index}"
                 info = _WorkInfo(
                     kind="fragment", label=label, stream=ticket.stream,
@@ -346,12 +344,7 @@ class _ServeState:
             ctx = ExecutionContext(engine.disk, engine.costs, metrics)
             relation = pplan.root.run(ctx)
             ctx.release_all()
-            merged.charge_io(
-                metrics.io_bytes, metrics.io_accesses, metrics.io_seconds
-            )
-            merged.charge_cpu(metrics.cpu_seconds)
-            merged.rows_scanned += metrics.rows_scanned
-            merged.delta_rows_scanned += metrics.delta_rows_scanned
+            merged.add_charges(metrics)
             info = _WorkInfo(
                 kind="fragment", label=ticket.description,
                 stream=ticket.stream,
@@ -403,7 +396,14 @@ class _ServeState:
             self.inflight -= 1
             REGISTRY.inc("serving.completed")
             if self.observer is not None:
-                self.observer(record)
+                # a served query adds no trace slices of its own: its
+                # fragments already sit on the serving timeline
+                pdb = self.engine.pdb
+                self.observer(
+                    f"{record.description}/{pdb.scheme_name}/{record.stream}",
+                    record.metrics, pdb, pdb.scheme_name, self.engine.options,
+                    relation=record.relation, timelines=(),
+                )
             # closed loop: the stream submits its next query now
             stream = self.streams.get(ticket.stream)
             if stream is not None:

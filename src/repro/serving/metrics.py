@@ -154,6 +154,7 @@ class ServingReport:
     policy: str
     workers: int
     max_concurrent: int
+    backend: str = "simulated"
     makespan_seconds: float = 0.0
     queries: List[QueryRecord] = field(default_factory=list)
     commits: List[CommitRecord] = field(default_factory=list)
@@ -228,6 +229,7 @@ class ServingReport:
             "policy": self.policy,
             "workers": self.workers,
             "max_concurrent": self.max_concurrent,
+            "backend": self.backend,
             "makespan_seconds": self.makespan_seconds,
             "queries": len(self.queries),
             "commits": len(self.commits),

@@ -16,9 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import List
 
-from ..observe import SCHEMA_VERSION, QueryLog, TraceBuilder, build_record
+from ..observe import SCHEMA_VERSION, ObservabilitySink, add_run_flags
 from ..planner.executor import ExecutionOptions, Executor
 from ..planner.explain import format_parallel_plan, format_physical_plan
 from .datagen import generate
@@ -39,60 +39,6 @@ def normalize_query_id(token: str) -> str:
     if digits.isdigit():
         return f"Q{int(digits):02d}"
     return token
-
-
-class ObservabilitySink:
-    """Fans one finished query out to the enabled sinks: the trace
-    builder (``--trace``), the JSONL query log (``--query-log``) and an
-    in-memory record list (``--json``)."""
-
-    def __init__(
-        self,
-        trace_path: Optional[str],
-        query_log_path: Optional[str],
-        collect: bool,
-        options: ExecutionOptions,
-    ):
-        self.trace_path = trace_path
-        self.builder = TraceBuilder() if trace_path else None
-        self.query_log = QueryLog(query_log_path) if query_log_path else None
-        self.records: Optional[List[dict]] = [] if collect else None
-        self.options = options
-
-    @property
-    def enabled(self) -> bool:
-        return bool(self.builder or self.query_log or self.records is not None)
-
-    def observe(self, qname: str, sname: str, runner, result) -> None:
-        label = f"{qname}/{sname}"
-        if self.builder is not None:
-            stages = runner.stage_metrics
-            for position, stage in enumerate(stages):
-                stage_label = (
-                    label if len(stages) == 1
-                    else f"{label} stage {position + 1}"
-                )
-                self.builder.add_execution(stage_label, stage)
-        if self.query_log is not None or self.records is not None:
-            record = build_record(
-                label,
-                runner.metrics,
-                pdb=runner.executor.pdb,
-                scheme=sname,
-                options=self.options,
-                plans=runner.physical_plans,
-                relation=result.relation,
-            )
-            if self.query_log is not None:
-                self.query_log.write(record)
-            if self.records is not None:
-                self.records.append(record)
-
-    def finish(self) -> None:
-        if self.builder is not None:
-            self.builder.write(self.trace_path)
-        if self.query_log is not None:
-            self.query_log.close()
 
 
 def _parse_args(argv: List[str]) -> argparse.Namespace:
@@ -125,23 +71,6 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
         "--no-pushdown", action="store_true", help="disable BDCC group pruning"
     )
     parser.add_argument(
-        "--workers", type=int, default=1,
-        help=(
-            "simulated workers for partition-parallel execution; with N > 1 "
-            "a speedup table (resource-seconds vs makespan) is printed"
-        ),
-    )
-    parser.add_argument(
-        "--backend", choices=("simulated", "process"), default="simulated",
-        help=(
-            "where parallel fragments execute: 'simulated' (in-process, "
-            "deterministic scheduler; the default) or 'process' (a real "
-            "multiprocessing pool over shared-memory column exports — "
-            "bit-identical results, with measured wall clock reported "
-            "next to the simulated charges)"
-        ),
-    )
-    parser.add_argument(
         "--refresh", type=int, default=0, metavar="N",
         help=(
             "run N TPC-H refresh pairs (RF1 inserts / RF2 deletes) through "
@@ -151,9 +80,23 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
             "run as a concurrent refresh stream instead"
         ),
     )
-    parser.add_argument(
-        "--streams", type=int, default=0, metavar="N",
-        help=(
+    add_run_flags(
+        parser,
+        workers=dict(
+            type=int, default=1,
+            help=(
+                "simulated workers for partition-parallel execution; with N > 1 "
+                "a speedup table (resource-seconds vs makespan) is printed"
+            ),
+        ),
+        backend_help=(
+            "where parallel fragments execute: 'simulated' (in-process, "
+            "deterministic scheduler; the default) or 'process' (a real "
+            "multiprocessing pool over shared-memory column exports — "
+            "bit-identical results, with measured wall clock reported "
+            "next to the simulated charges)"
+        ),
+        streams_help=(
             "TPC-H throughput test: serve N concurrent closed-loop query "
             "streams (each a deterministic rotation of the selected "
             "queries) through the multi-query serving layer on the shared "
@@ -161,47 +104,9 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
             "aggregate QPS; combine with --refresh for concurrent RF1/RF2 "
             "commits under MVCC snapshot reads"
         ),
-    )
-    parser.add_argument(
-        "--policy", choices=("fifo", "round-robin", "shortest"),
-        default="fifo",
-        help="admission (fairness) policy for --streams (default fifo)",
-    )
-    parser.add_argument(
-        "--max-concurrent", type=int, default=None, metavar="M",
-        help=(
-            "multiprogramming limit for --streams: at most M queries in "
-            "flight at once (default: the worker count)"
-        ),
-    )
-    parser.add_argument(
-        "--trace", metavar="FILE", default=None,
-        help=(
-            "write a Chrome trace-event JSON timeline of every execution "
-            "(workers as lanes, fragments as slices, exchanges as flow "
-            "arrows; open in https://ui.perfetto.dev)"
-        ),
-    )
-    parser.add_argument(
-        "--query-log", metavar="FILE", default=None,
-        help=(
-            "append one schema-validated JSONL record per query "
-            "(plan fingerprint, options, epochs, actuals, timeline)"
-        ),
-    )
-    parser.add_argument(
-        "--json", action="store_true",
-        help=(
+        json_help=(
             "print a machine-readable JSON document (query-log record "
             "shape) instead of the text tables"
-        ),
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help=(
-            "run every fragment under cProfile and attach the top "
-            "functions to query-log records and trace slices (passive: "
-            "simulated charges and results are unchanged)"
         ),
     )
     return parser.parse_args(argv)
@@ -211,7 +116,6 @@ def _run_serving(args, pdbs, env, selected, options, sink) -> int:
     """The ``--streams N`` throughput test: N rotated closed-loop query
     streams (plus an optional RF1/RF2 refresh stream) per scheme through
     the serving layer."""
-    from ..observe import build_record
     from ..serving import (
         PlanListStream,
         ServingEngine,
@@ -221,7 +125,6 @@ def _run_serving(args, pdbs, env, selected, options, sink) -> int:
     )
 
     documents = {}
-    trace_builder = None
     for sname, pdb in pdbs.items():
         items = capture_tpch_items(
             pdb, selected, disk=env.disk, costs=env.cost_model
@@ -247,38 +150,22 @@ def _run_serving(args, pdbs, env, selected, options, sink) -> int:
                 )
             )
 
-        observer = None
-        if sink.query_log is not None or sink.records is not None:
-            def observer(record, sname=sname, pdb=pdb):
-                log_record = build_record(
-                    f"{record.description}/{sname}/{record.stream}",
-                    record.metrics,
-                    pdb=pdb,
-                    scheme=sname,
-                    options=options,
-                    relation=record.relation,
-                )
-                if sink.query_log is not None:
-                    sink.query_log.write(log_record)
-                if sink.records is not None:
-                    sink.records.append(log_record)
-
         with ServingEngine(
             pdb, disk=env.disk, costs=env.cost_model, options=options,
             policy=args.policy, max_concurrent=args.max_concurrent,
             keep_results=False,
         ) as engine:
-            report = engine.serve(streams, refresh, observer=observer)
+            report = engine.serve(
+                streams, refresh,
+                observer=sink.observe if sink.enabled else None,
+            )
         documents[sname] = report.to_dict()
         if sink.builder is not None:
-            trace_builder = serving_trace(report, builder=trace_builder)
+            serving_trace(report, builder=sink.builder)
         if not args.json:
             print(report.render())
             print()
-    if trace_builder is not None:
-        trace_builder.write(sink.trace_path)
-    if sink.query_log is not None:
-        sink.query_log.close()
+    sink.finish()
     if args.json:
         print(
             json.dumps(
@@ -321,9 +208,14 @@ def main(argv: List[str] | None = None) -> int:
         backend=args.backend,
         profile=args.profile,
     )
-    sink = ObservabilitySink(
-        args.trace, args.query_log, collect=args.json, options=options
-    )
+    sink = ObservabilitySink(args.trace, args.query_log, collect=args.json)
+
+    def observe(qname, sname, runner, result) -> None:
+        sink.observe(
+            f"{qname}/{sname}", runner.metrics, runner.executor.pdb, sname,
+            options, runner.physical_plans, result.relation,
+            timelines=runner.stage_metrics,
+        )
 
     print(f"generating TPC-H SF={args.sf} (seed {args.seed}) ...", file=sys.stderr)
     db = generate(scale_factor=args.sf, seed=args.seed)
@@ -366,7 +258,7 @@ def main(argv: List[str] | None = None) -> int:
                     runner = QueryRunner(executor)
                     result = fn(runner)
                     if sink.enabled:
-                        sink.observe(qname, scheme_name, runner, result)
+                        observe(qname, scheme_name, runner, result)
                     for stage, pplan in enumerate(runner.physical_plans):
                         if len(runner.physical_plans) > 1:
                             print(f"-- stage {stage + 1}")
@@ -409,7 +301,7 @@ def main(argv: List[str] | None = None) -> int:
 
     suite = run_suite(
         pdbs, env, queries=selected, options=options,
-        observer=sink.observe if sink.enabled else None,
+        observer=observe if sink.enabled else None,
     )
     sink.finish()
     if args.json:

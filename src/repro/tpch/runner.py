@@ -57,12 +57,7 @@ class QueryRunner:
 
     def _merge(self, stage: ExecutionMetrics) -> None:
         merged = self.metrics
-        merged.io_bytes += stage.io_bytes
-        merged.io_accesses += stage.io_accesses
-        merged.io_seconds += stage.io_seconds
-        merged.cpu_seconds += stage.cpu_seconds
-        merged.rows_scanned += stage.rows_scanned
-        merged.delta_rows_scanned += stage.delta_rows_scanned
+        merged.add_charges(stage)
         merged.compaction_seconds += stage.compaction_seconds
         merged.rows_produced = stage.rows_produced
         if stage.peak_memory_bytes > merged.memory.peak_bytes:

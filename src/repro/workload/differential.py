@@ -1,10 +1,15 @@
-"""Cross-scheme differential oracle over generated plans.
+"""The differential oracle: one comparison, many systems under test.
 
 Every generated plan is evaluated once by the naive reference
 (:mod:`repro.workload.reference`) and then executed under each physical
 scheme x each ablation variant; normalized result multisets must agree
-everywhere.  A divergence fails loudly: the report carries the seed and
-query index (which fully determine the plan), the logical plan, and the
+everywhere, and parallel runs without a reordering exchange must match
+the serial run bit-for-bit.  :func:`run_differential` sweeps static
+plans or, with commit rounds, plans interleaved with seeded updates;
+:func:`repro.serving.run_serving_differential` replays served queries
+solo.  All of them compare through :func:`result_mismatch` and report
+:class:`Divergence` records in a :class:`WorkloadReport`.  A divergence
+fails loudly: it carries the reproduce flags, the logical plan, and the
 offending scheme/variant's physical plan annotated with its
 per-operator actuals.
 """
@@ -13,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +30,9 @@ from ..storage.io_model import DiskModel
 from .generator import PlanGenerator
 from .reference import evaluate_reference
 
+if TYPE_CHECKING:
+    from ..serving.metrics import ServingReport
+
 __all__ = [
     "Divergence",
     "WorkloadReport",
@@ -34,9 +42,9 @@ __all__ = [
     "normalized_rows",
     "rows_match",
     "bitwise_mismatch",
+    "result_mismatch",
     "worst_relative_error",
     "run_differential",
-    "run_update_differential",
 ]
 
 _SWITCHES = (
@@ -237,162 +245,23 @@ def worst_relative_error(expected: List[tuple], got: List[tuple]) -> float:
     return worst
 
 
-# -------------------------------------------------------------- reporting
-@dataclass
-class Divergence:
-    """One (query, scheme, variant) whose result differs from the
-    reference; self-contained for reproduction.  ``repro_flags`` pins
-    the database the plan was generated against (predicate literals are
-    sampled from the data, so the plan depends on the data too)."""
-
-    seed: int
-    index: int
-    scheme: str
-    variant: str
-    description: str
-    logical_plan: str
-    physical_plan: str
-    detail: str
-    repro_flags: str = ""
-
-    def render(self) -> str:
-        flags = f" {self.repro_flags}" if self.repro_flags else ""
-        return "\n".join(
-            [
-                f"DIVERGENCE {self.description} under scheme={self.scheme} "
-                f"variant={self.variant}",
-                f"  reproduce: python -m repro.workload --seed {self.seed} "
-                f"--queries {self.index + 1}{flags}",
-                "  logical plan:",
-                _indent(self.logical_plan, 4),
-                "  physical plan (with per-operator actuals):",
-                _indent(self.physical_plan, 4),
-                "  mismatch:",
-                _indent(self.detail, 4),
-            ]
-        )
-
-
-def _indent(text: str, spaces: int) -> str:
-    pad = " " * spaces
-    return "\n".join(pad + line for line in text.splitlines())
-
-
-@dataclass
-class WorkloadReport:
-    """Outcome of one differential sweep."""
-
-    seed: int
-    queries: int
-    executions: int = 0
-    divergences: List[Divergence] = field(default_factory=list)
-    #: physical-operator kind -> times planned (default variant, all schemes)
-    strategies: Dict[str, int] = field(default_factory=dict)
-    #: per-operator-kind actuals accumulated over the default-variant runs
-    operator_totals: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: largest relative float discrepancy seen across all matched
-    #: (query, scheme, variant) results — how close the observed
-    #: summation-order noise comes to the comparison tolerance
-    worst_rel_error: float = 0.0
-    #: update-aware sweeps only: committed batches and their volume
-    commits: int = 0
-    rows_inserted: int = 0
-    rows_deleted: int = 0
-    compactions: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.divergences
-
-    def to_dict(self) -> dict:
-        """JSON-ready form of the report (the ``--json`` CLI mode);
-        per-execution detail lives in query-log records, not here."""
-        return {
-            "seed": int(self.seed),
-            "queries": int(self.queries),
-            "executions": int(self.executions),
-            "ok": self.ok,
-            "worst_rel_error": float(self.worst_rel_error),
-            "strategies": {k: int(v) for k, v in sorted(self.strategies.items())},
-            "operator_totals": {
-                kind: {key: float(value) for key, value in totals.items()}
-                for kind, totals in sorted(self.operator_totals.items())
-            },
-            "commits": int(self.commits),
-            "rows_inserted": int(self.rows_inserted),
-            "rows_deleted": int(self.rows_deleted),
-            "compactions": int(self.compactions),
-            "divergences": [
-                {
-                    "seed": d.seed,
-                    "index": d.index,
-                    "scheme": d.scheme,
-                    "variant": d.variant,
-                    "description": d.description,
-                    "detail": d.detail,
-                }
-                for d in self.divergences
-            ],
-        }
-
-    def render(self) -> str:
-        lines = [
-            f"workload differential: seed={self.seed} queries={self.queries} "
-            f"executions={self.executions} divergences={len(self.divergences)}"
-        ]
-        if self.commits:
-            lines.append(
-                f"updates: {self.commits} commits (+{self.rows_inserted} rows, "
-                f"-{self.rows_deleted} rows, {self.compactions} compactions)"
-            )
-        if self.executions:
-            lines.append(
-                f"worst float relative error: {self.worst_rel_error:.2e} "
-                f"(tolerance {_REL_TOL:.0e})"
-            )
-        if self.strategies:
-            strategies = ", ".join(
-                f"{kind}={count}" for kind, count in sorted(self.strategies.items())
-            )
-            lines.append(f"strategies planned: {strategies}")
-        if self.operator_totals:
-            lines.append("per-operator actuals (default variant, all schemes):")
-            lines.append(
-                f"  {'operator':<14}{'calls':>8}{'rows out':>12}"
-                f"{'io ms':>10}{'cpu ms':>10}{'mem MB':>10}"
-            )
-            for kind in sorted(self.operator_totals):
-                totals = self.operator_totals[kind]
-                lines.append(
-                    f"  {kind:<14}{int(totals['calls']):>8}"
-                    f"{int(totals['rows_out']):>12}"
-                    f"{totals['io_seconds'] * 1e3:>10.2f}"
-                    f"{totals['cpu_seconds'] * 1e3:>10.2f}"
-                    f"{totals['reserved_bytes'] / 1e6:>10.2f}"
-                )
-        for divergence in self.divergences:
-            lines.append("")
-            lines.append(divergence.render())
-        lines.append("PASS" if self.ok else "FAIL")
-        return "\n".join(lines)
-
-
-def _bitwise_mismatch(serial, got) -> Optional[str]:
-    """Exact (order- and bit-sensitive) comparison of a parallel
-    execution's relation against the same scheme's serial default run.
-    Fragmented plans without a reordering exchange gather partitions in
-    storage order, so their parallel stream must reproduce the serial
-    one *exactly* — no tolerance.  (Plans *with* a reordering
-    co-partition gather carry the order-insensitive contract instead and
-    are only held to the normalized-multiset check vs the reference.)"""
-    serial_names = serial.column_names
+# ------------------------------------------------------------- comparison
+def bitwise_mismatch(expected, got) -> Optional[str]:
+    """Exact (order- and bit-sensitive) comparison of two engine
+    relations.  Fragmented plans without a reordering exchange gather
+    partitions in storage order, so their parallel stream must reproduce
+    the serial one *exactly* — no tolerance; a served query without a
+    reordering or re-aggregating contract must likewise reproduce its
+    solo replay.  (Plans *with* such a contract are held to the
+    normalized-multiset comparison instead.)"""
+    expected_names = expected.column_names
     got_names = got.column_names
-    if serial_names != got_names:
-        return f"column mismatch: serial {serial_names}, parallel {got_names}"
-    if serial.num_rows != got.num_rows:
-        return f"row count mismatch: serial {serial.num_rows}, parallel {got.num_rows}"
-    for name in serial_names:
-        a, b = serial.column(name), got.column(name)
+    if expected_names != got_names:
+        return f"column mismatch: expected {expected_names}, got {got_names}"
+    if expected.num_rows != got.num_rows:
+        return f"row count mismatch: expected {expected.num_rows}, got {got.num_rows}"
+    for name in expected_names:
+        a, b = expected.column(name), got.column(name)
         equal = (
             np.array_equal(a, b, equal_nan=True)
             if a.dtype.kind == "f" and b.dtype.kind == "f"
@@ -406,17 +275,11 @@ def _bitwise_mismatch(serial, got) -> Optional[str]:
             where = int(rows[0]) if len(rows) else -1
             return (
                 f"column {name!r} differs (first at row {where}: "
-                f"serial {a[where]!r}, parallel {b[where]!r})"
+                f"expected {a[where]!r}, got {b[where]!r})"
             )
     return None
 
 
-#: public name for external exact-comparison users (the serving
-#: differential); the underscore form stays the patchable internal hook.
-bitwise_mismatch = _bitwise_mismatch
-
-
-# ------------------------------------------------------------------ runner
 def _diff_detail(
     expected: List[tuple],
     got: List[tuple],
@@ -442,6 +305,223 @@ def _diff_detail(
     return "\n".join(lines)
 
 
+def result_mismatch(
+    expected, got, exact: bool = False, report: Optional["WorkloadReport"] = None
+) -> Optional[str]:
+    """The oracle's one comparison: a mismatch detail, or ``None`` when
+    ``got`` (an executed or served relation) matches ``expected`` (an
+    engine relation or the naive reference — anything with ``columns``
+    and ``column_names``).
+
+    ``exact`` selects the bit-for-bit contract
+    (:func:`bitwise_mismatch`, row order included); otherwise both sides
+    are compared as canonically ordered multisets with per-dtype float
+    tolerances.  Differing column names diverge in both modes.  With a
+    ``report``, a tolerance match raises its ``worst_rel_error`` to the
+    float noise this comparison observed."""
+    if exact:
+        return bitwise_mismatch(expected, got)
+    names = sorted(expected.column_names)
+    got_names = sorted(got.column_names)
+    if names != got_names:
+        return f"column mismatch: expected {names}, got {got_names}"
+    expected_rows = normalized_rows(expected.columns, names)
+    got_rows = normalized_rows(got.columns, names)
+    tolerances = column_tolerances(names, expected.columns, got.columns)
+    if not rows_match(expected_rows, got_rows, tolerances):
+        return _diff_detail(expected_rows, got_rows, tolerances)
+    # without a float column there is no rounding noise to measure
+    if report is not None and any(tolerances):
+        report.worst_rel_error = max(
+            report.worst_rel_error, worst_relative_error(expected_rows, got_rows)
+        )
+    return None
+
+
+# -------------------------------------------------------------- reporting
+@dataclass
+class Divergence:
+    """One failed check, self-contained for reproduction.
+
+    ``check`` names the contract that broke: ``reference`` (result vs
+    the naive reference), ``serial`` (parallel run vs the scheme's
+    serial default run, bit-for-bit), ``solo`` (served result vs its
+    solo replay), ``epoch`` (replay not at the pinned epochs) or
+    ``append-rebuild`` (incremental append vs the full-rebuild path).
+    ``variant`` is the ablation variant of a sweep, or
+    ``policy/stream/seq`` of a served query.  ``reproduce`` holds the
+    ``python -m repro.workload`` flags that rebuild the same database
+    and regenerate the same plans (predicate literals are sampled from
+    the data, so the plan depends on the data too)."""
+
+    seed: int
+    index: int
+    scheme: str
+    variant: str
+    check: str
+    description: str
+    detail: str
+    reproduce: str
+    logical_plan: str = ""
+    physical_plan: str = ""
+
+    def render(self) -> str:
+        lines = [
+            f"DIVERGENCE [{self.check}] {self.description} under "
+            f"scheme={self.scheme}" + (f" variant={self.variant}" if self.variant else ""),
+            f"  reproduce: python -m repro.workload {self.reproduce}",
+        ]
+        if self.logical_plan:
+            lines += ["  logical plan:", _indent(self.logical_plan, 4)]
+        if self.physical_plan:
+            lines += [
+                "  physical plan (with per-operator actuals):",
+                _indent(self.physical_plan, 4),
+            ]
+        lines += ["  mismatch:", _indent(self.detail, 4)]
+        return "\n".join(lines)
+
+
+def _indent(text: str, spaces: int) -> str:
+    pad = " " * spaces
+    return "\n".join(pad + line for line in text.splitlines())
+
+
+@dataclass
+class WorkloadReport:
+    """Outcome of one differential run: a static or update-aware sweep
+    (:func:`run_differential`) or a serve-then-replay-solo run
+    (:func:`repro.serving.run_serving_differential`)."""
+
+    seed: int
+    queries: int
+    #: executions checked (sweep: every scheme x variant run; serving:
+    #: every served query replayed solo)
+    executions: int = 0
+    divergences: List[Divergence] = field(default_factory=list)
+    #: physical-operator kind -> times planned (default variant, all schemes)
+    strategies: Dict[str, int] = field(default_factory=dict)
+    #: per-operator-kind actuals accumulated over the default-variant runs
+    operator_totals: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    #: largest relative float discrepancy seen across all matched
+    #: (query, scheme, variant) results — how close the observed
+    #: summation-order noise comes to the comparison tolerance
+    worst_rel_error: float = 0.0
+    #: runs with updates only: committed (or replayed) batches and their volume
+    commits: int = 0
+    rows_inserted: int = 0
+    rows_deleted: int = 0
+    compactions: int = 0
+    #: serving runs only: served results also checked against the reference
+    reference_checks: int = 0
+    #: serving runs only: scheme -> the serving run that was replayed
+    serving_reports: Dict[str, "ServingReport"] = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return not self.divergences
+
+    def count_commit(self, result=None) -> None:
+        """Count one committed batch and, given its
+        :class:`~repro.updates.CommitResult`, its volume."""
+        self.commits += 1
+        if result is not None:
+            self.rows_inserted += sum(result.inserted.values())
+            self.rows_deleted += sum(result.deleted.values())
+            self.compactions += sum(1 for c in result.changes if c.compacted)
+
+    def to_dict(self) -> dict:
+        """JSON-ready form of the report (the ``--json`` CLI modes);
+        per-execution detail lives in query-log records, not here."""
+        document = {
+            "seed": int(self.seed),
+            "queries": int(self.queries),
+            "executions": int(self.executions),
+            "ok": self.ok,
+            "worst_rel_error": float(self.worst_rel_error),
+            "strategies": {k: int(v) for k, v in sorted(self.strategies.items())},
+            "operator_totals": {
+                kind: {key: float(value) for key, value in totals.items()}
+                for kind, totals in sorted(self.operator_totals.items())
+            },
+            "commits": int(self.commits),
+            "rows_inserted": int(self.rows_inserted),
+            "rows_deleted": int(self.rows_deleted),
+            "compactions": int(self.compactions),
+            "divergences": [
+                {
+                    "seed": d.seed,
+                    "index": d.index,
+                    "scheme": d.scheme,
+                    "variant": d.variant,
+                    "check": d.check,
+                    "description": d.description,
+                    "detail": d.detail,
+                }
+                for d in self.divergences
+            ],
+        }
+        if self.serving_reports:
+            first = next(iter(self.serving_reports.values()))
+            document.update(
+                policy=first.policy,
+                workers=first.workers,
+                backend=first.backend,
+                reference_checks=int(self.reference_checks),
+                schemes={
+                    scheme: report.to_dict()
+                    for scheme, report in self.serving_reports.items()
+                },
+            )
+        return document
+
+    def render(self) -> str:
+        lines = [
+            f"workload differential: seed={self.seed} queries={self.queries} "
+            f"executions={self.executions} divergences={len(self.divergences)}"
+        ]
+        if self.commits:
+            lines.append(
+                f"updates: {self.commits} commits (+{self.rows_inserted} rows, "
+                f"-{self.rows_deleted} rows, {self.compactions} compactions)"
+            )
+        if self.reference_checks:
+            lines.append(f"reference checks: {self.reference_checks}")
+        if self.executions:
+            lines.append(
+                f"worst float relative error: {self.worst_rel_error:.2e} "
+                f"(tolerance {_REL_TOL:.0e})"
+            )
+        if self.strategies:
+            strategies = ", ".join(
+                f"{kind}={count}" for kind, count in sorted(self.strategies.items())
+            )
+            lines.append(f"strategies planned: {strategies}")
+        if self.operator_totals:
+            lines.append("per-operator actuals (default variant, all schemes):")
+            lines.append(
+                f"  {'operator':<14}{'calls':>8}{'rows out':>12}"
+                f"{'io ms':>10}{'cpu ms':>10}{'mem MB':>10}"
+            )
+            for kind in sorted(self.operator_totals):
+                totals = self.operator_totals[kind]
+                lines.append(
+                    f"  {kind:<14}{int(totals['calls']):>8}"
+                    f"{int(totals['rows_out']):>12}"
+                    f"{totals['io_seconds'] * 1e3:>10.2f}"
+                    f"{totals['cpu_seconds'] * 1e3:>10.2f}"
+                    f"{totals['reserved_bytes'] / 1e6:>10.2f}"
+                )
+        for serving_report in self.serving_reports.values():
+            lines.append(serving_report.render())
+        for divergence in self.divergences:
+            lines.append("")
+            lines.append(divergence.render())
+        lines.append("PASS" if self.ok else "FAIL")
+        return "\n".join(lines)
+
+
+# ------------------------------------------------------------------ runner
 def run_differential(
     physical_dbs: Dict[str, PhysicalDatabase],
     seed: int = 0,
@@ -453,29 +533,77 @@ def run_differential(
     progress: Optional[Callable[[int, int], None]] = None,
     repro_flags: str = "",
     observer: Optional[Callable] = None,
+    rounds: int = 0,
+    policy=None,
 ) -> WorkloadReport:
     """Generate ``num_queries`` plans from ``seed`` and check every
-    scheme x variant against the scheme-independent reference.
+    scheme x variant against the scheme-independent reference (parallel
+    variants additionally bit-for-bit against the scheme's serial
+    default run).
+
+    With ``rounds > 0`` the sweep is update-aware: the queries are split
+    into ``rounds`` equal slices (a remainder runs after the last
+    commit), and before each slice one seeded
+    insert/delete batch is committed through one
+    :class:`~repro.updates.UpdateSession` (compaction ``policy``; all
+    schemes share the logical database, so the naive reference sees
+    every change automatically).  Round 0, when insert-only,
+    additionally cross-checks the incremental append path against the
+    full-rebuild slow path (the oracle's second reference).  Executors
+    persist across rounds, so a stale cached plan surviving a commit
+    would surface as a divergence — the epoch keying is under test too.
 
     ``repro_flags`` names the extra CLI flags (``--sf``,
     ``--datagen-seed``) that rebuild the same database, so divergence
-    reports reproduce exactly.  ``observer`` is called as
-    ``observer(query, scheme, variant, executor, result)`` after every
-    execution — the CLI's observability sinks hang off it."""
+    reports reproduce exactly.  ``observer`` is called after every
+    execution with the arguments of
+    :meth:`repro.observe.ObservabilitySink.observe` — the CLI's
+    observability sink hangs off it."""
+    from ..updates import UpdateSession
+    from .updates import UpdateGenerator
+
     variants = variants or ablation_variants()
     db = next(iter(physical_dbs.values())).database
     generator = PlanGenerator(db)
+    update_generator = UpdateGenerator(db) if rounds else None
     executors: Dict[Tuple[str, str], Executor] = {
         (scheme, variant): Executor(pdb, disk=disk, costs=costs, options=options)
         for scheme, pdb in physical_dbs.items()
         for variant, options in variants.items()
     }
+    session = (
+        UpdateSession(*physical_dbs.values(), policy=policy, disk=disk, costs=costs)
+        if rounds else None
+    )
+    per_round = max(num_queries // rounds, 1) if rounds else num_queries
+    flags = f" {repro_flags}" if repro_flags else ""
     report = WorkloadReport(seed=seed, queries=num_queries)
+    after = ""
 
     try:
         for index in range(num_queries):
+            round_index = min(index // per_round, rounds - 1) if rounds else 0
+            reproduce = (
+                f"--seed {seed} --queries {(round_index + 1) * per_round} "
+                f"--updates {round_index + 1}{flags}"
+                if rounds else f"--seed {seed} --queries {index + 1}{flags}"
+            )
+            if rounds and index == round_index * per_round:
+                batch = update_generator.generate(seed, round_index)
+                for table, rows in batch.inserts:
+                    session.insert_rows(table, rows)
+                for table, predicate in batch.deletes:
+                    session.delete_where(table, predicate)
+                result = session.commit()
+                report.count_commit(result)
+                if round_index == 0 and batch.is_insert_only and not result.compacted_tables():
+                    _append_second_reference(report, physical_dbs, batch, reproduce)
+                if report.divergences and fail_fast:
+                    return report
+                after = f" (after {batch.description})"
             query = generator.generate(seed, index)
-            _check_one_query(report, executors, db, query, repro_flags, observer)
+            query.description += after
+            _check_one_query(report, executors, db, query, reproduce, observer)
             if report.divergences and fail_fast:
                 return report
             if progress is not None:
@@ -492,40 +620,29 @@ def _check_one_query(
     executors: Dict[Tuple[str, str], "Executor"],
     db,
     query,
-    repro_flags: str,
+    reproduce: str,
     observer: Optional[Callable] = None,
 ) -> None:
     """Run one generated query under every (scheme, variant) executor and
     record divergences against the naive reference (parallel variants
     additionally bit-for-bit against the scheme's serial default run)."""
     reference = evaluate_reference(db, query.plan)
-    expected_names = sorted(reference.visible_names)
-    expected = normalized_rows(reference.columns, expected_names)
     serial_relations: Dict[str, object] = {}
 
     for (scheme, variant), executor in executors.items():
         result = executor.execute(query.plan)
         report.executions += 1
         if observer is not None:
-            observer(query, scheme, variant, executor, result)
+            observer(
+                f"q{query.index}/{scheme}/{variant}", result.metrics,
+                executor.pdb, scheme, executor.options,
+                [executor.lower(query.plan)], result.relation,
+                collect=variant == "default",
+            )
         if variant == "default":
             serial_relations[scheme] = result.relation
-        got_names = sorted(result.relation.column_names)
-        if got_names != expected_names:
-            detail = f"column mismatch: expected {expected_names}, got {got_names}"
-            got = None
-        else:
-            got = normalized_rows(result.relation.columns, got_names)
-            tolerances = column_tolerances(
-                got_names, reference.columns, result.relation.columns
-            )
-            if rows_match(expected, got, tolerances):
-                detail = None
-                report.worst_rel_error = max(
-                    report.worst_rel_error, worst_relative_error(expected, got)
-                )
-            else:
-                detail = _diff_detail(expected, got, tolerances)
+        check = "reference"
+        detail = result_mismatch(reference, result.relation, report=report)
         if (
             detail is None
             and executor.options.workers > 1
@@ -538,7 +655,10 @@ def _check_one_query(
             # still match the serial run bit-for-bit, order included
             parallel = executor.parallel_plan(executor.lower(query.plan))
             if not (parallel.is_parallel and parallel.reorders):
-                mismatch = _bitwise_mismatch(serial_relations[scheme], result.relation)
+                check = "serial"
+                mismatch = result_mismatch(
+                    serial_relations[scheme], result.relation, exact=True
+                )
                 if mismatch is not None:
                     detail = (
                         f"workers={executor.options.workers} diverges bit-for-bit "
@@ -552,13 +672,14 @@ def _check_one_query(
                     index=query.index,
                     scheme=scheme,
                     variant=variant,
+                    check=check,
                     description=query.description,
+                    detail=detail,
+                    reproduce=reproduce,
                     logical_plan=format_plan(query.plan),
                     physical_plan=format_physical_plan(
                         pplan, verbose=True, metrics=result.metrics
                     ),
-                    detail=detail,
-                    repro_flags=repro_flags,
                 )
             )
         elif variant == "default":
@@ -589,15 +710,13 @@ def _append_second_reference(
     report: WorkloadReport,
     physical_dbs: Dict[str, PhysicalDatabase],
     batch,
-    repro_flags: str,
+    reproduce: str,
 ) -> None:
     """Cross-check the incremental append path against the full-rebuild
     slow path (``append_rows(..., rebuild=True)``) — valid on the first,
     insert-only commit, while the BDCC base tables still match the
     pristine build.  Key order, row placement and the incrementally
     merged count table must agree exactly."""
-    import numpy as np
-
     from ..core.append import append_rows
 
     bdcc_pdb = next(
@@ -625,91 +744,11 @@ def _append_second_reference(
                     seed=batch.seed,
                     index=batch.index,
                     scheme=bdcc_pdb.scheme_name,
-                    variant="append-rebuild-reference",
+                    variant="",
+                    check="append-rebuild",
                     description=batch.description,
-                    logical_plan=f"append {len(next(iter(rows.values())))} rows to {table}",
-                    physical_plan="(incremental append vs rebuild=True reference)",
                     detail="incremental append diverges from the full rebuild",
-                    repro_flags=repro_flags,
+                    reproduce=reproduce,
+                    logical_plan=f"append {len(next(iter(rows.values())))} rows to {table}",
                 )
             )
-
-
-def run_update_differential(
-    physical_dbs: Dict[str, PhysicalDatabase],
-    seed: int = 0,
-    rounds: int = 5,
-    queries_per_round: int = 5,
-    variants: Optional[Dict[str, ExecutionOptions]] = None,
-    disk: Optional[DiskModel] = None,
-    costs: Optional[CostModel] = None,
-    fail_fast: bool = False,
-    progress: Optional[Callable[[int, int], None]] = None,
-    repro_flags: str = "",
-    policy=None,
-    observer: Optional[Callable] = None,
-) -> WorkloadReport:
-    """The update-aware sweep: seeded insert/delete batches committed
-    through one :class:`~repro.updates.UpdateSession` (all schemes share
-    the logical database, so the naive reference sees every change
-    automatically), each commit followed by ``queries_per_round``
-    generated queries checked against the reference under every
-    scheme × variant — and parallel variants bit-for-bit against serial.
-
-    Round 0 is insert-only and additionally cross-checks the incremental
-    append path against the full-rebuild slow path (the oracle's second
-    reference).  Executors persist across rounds, so a stale cached plan
-    surviving a commit would surface as a divergence — the epoch keying
-    is under test too.
-    """
-    from ..updates import UpdateSession
-    from .updates import UpdateGenerator
-
-    variants = variants or ablation_variants()
-    db = next(iter(physical_dbs.values())).database
-    plan_generator = PlanGenerator(db)
-    update_generator = UpdateGenerator(db)
-    executors: Dict[Tuple[str, str], Executor] = {
-        (scheme, variant): Executor(pdb, disk=disk, costs=costs, options=options)
-        for scheme, pdb in physical_dbs.items()
-        for variant, options in variants.items()
-    }
-    session = UpdateSession(
-        *physical_dbs.values(), policy=policy, disk=disk, costs=costs
-    )
-    report = WorkloadReport(seed=seed, queries=rounds * queries_per_round)
-
-    try:
-        for round_index in range(rounds):
-            batch = update_generator.generate(seed, round_index)
-            for table, rows in batch.inserts:
-                session.insert_rows(table, rows)
-            for table, predicate in batch.deletes:
-                session.delete_where(table, predicate)
-            result = session.commit()
-            report.commits += 1
-            report.rows_inserted += sum(result.inserted.values())
-            report.rows_deleted += sum(result.deleted.values())
-            report.compactions += sum(1 for c in result.changes if c.compacted)
-            if round_index == 0 and batch.is_insert_only and not result.compacted_tables():
-                _append_second_reference(report, physical_dbs, batch, repro_flags)
-            if report.divergences and fail_fast:
-                return report
-
-            for q in range(queries_per_round):
-                query = plan_generator.generate(
-                    seed, round_index * queries_per_round + q
-                )
-                query.description += f" (after {batch.description})"
-                _check_one_query(
-                    report, executors, db, query, repro_flags, observer
-                )
-                if report.divergences and fail_fast:
-                    return report
-            if progress is not None:
-                progress(round_index + 1, rounds)
-        return report
-    finally:
-        # process-backend variants hold worker pools and shared memory
-        for executor in executors.values():
-            executor.close()

@@ -54,7 +54,7 @@ class RefRelation:
         return len(next(iter(self.columns.values())))
 
     @property
-    def visible_names(self) -> List[str]:
+    def column_names(self) -> List[str]:
         return [c for c in self.columns if not c.startswith("__")]
 
     def gather(self, indices) -> "RefRelation":

@@ -184,3 +184,19 @@ class TestWorkloadCli:
         assert validate_trace(json.loads(trace.read_text())) == []
         for record in read_records(str(log)):
             assert record_errors(record) == []
+
+    def test_streams_mode_writes_trace_and_query_log(self, tmp_path, capsys):
+        """``--streams`` feeds the same sink as the sweep: the serving
+        timeline lands in the trace, every served query in the log."""
+        trace = tmp_path / "trace.json"
+        log = tmp_path / "log.jsonl"
+        code = workload_main(
+            SMALL
+            + ["--streams", "2", "--queries", "4", "--workers", "2",
+               "--trace", str(trace), "--query-log", str(log)]
+        )
+        assert code == 0
+        assert trace.exists() and log.exists()
+        records = read_records(str(log))
+        assert len(records) == 4
+        assert observe_main(["validate", str(trace), str(log)]) == 0

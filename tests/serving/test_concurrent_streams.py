@@ -43,7 +43,7 @@ class TestSimulatedBackend:
     def test_streams_match_serial_across_policies(self, workers, policy):
         report = _run(workers=workers, policy=policy, max_concurrent=2)
         assert report.ok, "\n".join(d.render() for d in report.divergences)
-        assert report.queries_checked == 3 * 4 * 3  # streams x queries x schemes
+        assert report.executions == 3 * 4 * 3  # streams x queries x schemes
 
     def test_single_worker_degenerates_to_serial(self):
         """workers=1 forces serial plans through the same admission
@@ -59,7 +59,7 @@ class TestSimulatedBackend:
             max_concurrent=1, schemes=["bdcc"],
         )
         assert report.ok, "\n".join(d.render() for d in report.divergences)
-        assert report.queries_checked == 5 * 2
+        assert report.executions == 5 * 2
 
 
 class TestProcessBackend:
@@ -73,7 +73,7 @@ class TestProcessBackend:
             num_streams=2, queries_per_stream=3, schemes=["bdcc"],
         )
         assert report.ok, "\n".join(d.render() for d in report.divergences)
-        assert report.queries_checked == 2 * 3
+        assert report.executions == 2 * 3
 
     def test_with_concurrent_refresh_commits(self):
         report = _run(
@@ -82,4 +82,4 @@ class TestProcessBackend:
             schemes=["bdcc"],
         )
         assert report.ok, "\n".join(d.render() for d in report.divergences)
-        assert report.commits_replayed == 2
+        assert report.commits == 2

@@ -13,7 +13,7 @@ from repro.planner.executor import ExecutionOptions
 from repro.serving import run_serving_differential
 from repro.tpch.environment import make_environment
 from repro.updates.compaction import CompactionPolicy
-from repro.workload.differential import run_update_differential
+from repro.workload.differential import run_differential
 
 from .conftest import SERVING_SF, fresh_schemes
 
@@ -25,8 +25,8 @@ ENV = make_environment(SERVING_SF)
 def _assert_clean(report):
     detail = "\n".join(d.render() for d in report.divergences)
     assert report.ok, f"serving divergences:\n{detail}"
-    assert report.queries_checked > 0
-    assert report.commits_replayed > 0
+    assert report.executions > 0
+    assert report.commits > 0
 
 
 class TestSnapshotIsolation:
@@ -49,7 +49,7 @@ class TestSnapshotIsolation:
             costs=ENV.cost_model,
         )
         _assert_clean(report)
-        assert report.queries_checked == 3 * 3 * 3  # streams x queries x schemes
+        assert report.executions == 3 * 3 * 3  # streams x queries x schemes
 
     def test_reference_oracle_agrees_with_served_results(self):
         """Every served result additionally matches the naive reference
@@ -68,7 +68,7 @@ class TestSnapshotIsolation:
             check_reference=True,
         )
         _assert_clean(report)
-        assert report.reference_checks == report.queries_checked
+        assert report.reference_checks == report.executions
 
     def test_eager_compaction_interleaves_harmlessly(self):
         """An aggressive compaction policy (fold on every commit) keeps
@@ -111,11 +111,11 @@ class TestSnapshotIsolation:
         """The reused oracle itself stays green over the same schemes —
         anchoring the serving results to the update subsystem's own
         correctness sweep."""
-        report = run_update_differential(
+        report = run_differential(
             fresh_schemes(),
             seed=4,
             rounds=2,
-            queries_per_round=2,
+            num_queries=2 * 2,
             variants={"default": ExecutionOptions()},
             disk=ENV.disk,
             costs=ENV.cost_model,

@@ -120,7 +120,7 @@ class TestAgainstEngine:
         reference = evaluate_reference(db, plan)
         result = executor.execute(plan)
         names = sorted(result.relation.column_names)
-        assert sorted(reference.visible_names) == names
+        assert sorted(reference.column_names) == names
         assert rows_match(
             normalized_rows(reference.columns, names),
             normalized_rows(result.relation.columns, names),
