@@ -26,7 +26,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from repro.observe import SCHEMA_VERSION, history  # noqa: E402
+from repro.observe import SCHEMA_VERSION, history, percentile  # noqa: E402
 from repro.planner.executor import ExecutionOptions  # noqa: E402
 from repro.serving import (  # noqa: E402
     POLICY_NAMES,
@@ -35,7 +35,6 @@ from repro.serving import (  # noqa: E402
     TpchRefreshStream,
     capture_tpch_items,
 )
-from repro.serving.metrics import percentile  # noqa: E402
 from repro.tpch.datagen import generate  # noqa: E402
 from repro.tpch.environment import make_environment  # noqa: E402
 from repro.tpch.harness import build_schemes  # noqa: E402

@@ -390,10 +390,9 @@ class DeltaMergeScan(PhysicalScan):
     The lowering resolves, per delta run, which rows survive the same
     count-table restrictions and zone-map ranges the base selection went
     through (superset semantics — the residual predicate still runs), so
-    pushdown keeps pruning deltas zone-wise.  The merged stream restores
-    the scheme's storage order — ``_bdcc_``-key order (stable: base rows
-    before delta rows, runs in commit order) on BDCC, primary-key order
-    on PK, arrival order on Plain — so every stream property the planner
+    pushdown keeps pruning deltas zone-wise.  The merged stream is put in
+    :meth:`~repro.storage.stored_table.StoredTable.storage_order` — the
+    order compaction writes — so every stream property the planner
     guaranteed (``sorted_on``, carried dimension uses) holds with deltas
     present and merge/sandwich strategies keep firing.
     """
@@ -475,30 +474,21 @@ class DeltaMergeScan(PhysicalScan):
             merged = columns
             merged_keys = keys
         else:
-            if bdcc is not None:
-                all_keys = np.concatenate(key_pieces)
-                order = np.argsort(all_keys, kind="stable")
-                merged_keys = all_keys[order]
-            elif stored.sort_columns:
-                sort_arrays = []
-                for c in stored.sort_columns:
-                    name = prefix + c
-                    if name in pieces:
-                        sort_arrays.append(np.concatenate(pieces[name]))
-                    else:
-                        sort_arrays.append(np.concatenate(merge_values[c]))
-                # lexsort is stable: equal keys keep base-then-commit order
-                order = np.lexsort(tuple(reversed(sort_arrays)))
-                merged_keys = None
-            else:
-                order = None  # arrival order: base first, runs in commit order
-                merged_keys = None
-            if order is None:
-                merged = {name: np.concatenate(arrs) for name, arrs in pieces.items()}
-            else:
-                merged = {
-                    name: np.concatenate(arrs)[order] for name, arrs in pieces.items()
-                }
+            merged_keys = None if key_pieces is None else np.concatenate(key_pieces)
+            order = stored.storage_order(
+                merged_keys,
+                {
+                    c: np.concatenate(merge_values.get(c) or pieces[prefix + c])
+                    for c in stored.sort_columns
+                },
+            )
+            merged = {}
+            for name, arrs in pieces.items():
+                merged[name] = np.concatenate(arrs)
+                if order is not None:
+                    merged[name] = merged[name][order]
+            if order is not None and merged_keys is not None:
+                merged_keys = merged_keys[order]
             ctx.metrics.charge_cpu(total * ctx.costs.merge_row, "scan")
 
         note_bits = list(self.selection_notes)

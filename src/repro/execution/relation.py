@@ -23,7 +23,7 @@ import numpy as np
 
 from ..core.dimension import Dimension
 
-__all__ = ["StreamUse", "Relation", "row_bytes_of"]
+__all__ = ["StreamUse", "Relation", "row_bytes_of", "value_bytes"]
 
 HIDDEN_PREFIX = "__"
 
@@ -47,7 +47,7 @@ class StreamUse:
         return (self.alias, self.dimension.name, self.path)
 
 
-def _value_bytes(array: np.ndarray) -> float:
+def value_bytes(array: np.ndarray) -> float:
     """Approximate engine-side bytes per value (unicode arrays store
     4 bytes/char in numpy; a real engine stores ~1)."""
     if array.dtype.kind == "U":
@@ -57,7 +57,7 @@ def _value_bytes(array: np.ndarray) -> float:
 
 def row_bytes_of(columns: Dict[str, np.ndarray]) -> float:
     """Bytes per row across the given columns."""
-    return float(sum(_value_bytes(a) for a in columns.values()))
+    return float(sum(value_bytes(a) for a in columns.values()))
 
 
 @dataclass

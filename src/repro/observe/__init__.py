@@ -52,6 +52,7 @@ from .query_log import (
     SUPPORTED_SCHEMA_VERSIONS,
     QueryLog,
     build_record,
+    percentile,
     plan_fingerprint,
     read_records,
     record_errors,
@@ -77,6 +78,7 @@ __all__ = [
     "SUPPORTED_SCHEMA_VERSIONS",
     "QueryLog",
     "build_record",
+    "percentile",
     "plan_fingerprint",
     "read_records",
     "record_errors",

@@ -47,6 +47,7 @@ __all__ = [
     "QueryLog",
     "read_records",
     "summarize_records",
+    "percentile",
 ]
 
 SCHEMA_VERSION = 2
@@ -405,9 +406,11 @@ def read_records(path: str) -> List[dict]:
 
 
 # --------------------------------------------------------------- summary
-def _percentile(values: List[float], fraction: float) -> float:
-    """Nearest-rank percentile (exact for the small per-query samples a
-    log holds; no interpolation surprises)."""
+def percentile(values: List[float], fraction: float) -> float:
+    """Nearest-rank percentile of ``values`` (deterministic, no
+    interpolation); 0.0 for an empty list."""
+    if not values:
+        return 0.0
     ordered = sorted(values)
     rank = max(int(-(-len(ordered) * fraction // 1)), 1)  # ceil
     return ordered[rank - 1]
@@ -447,8 +450,8 @@ def summarize_records(records: List[dict]) -> dict:
         seconds = [r["simulated"]["total_seconds"] for r in group]
         queries[label] = {
             "records": len(group),
-            "p50_simulated_seconds": _percentile(seconds, 0.50),
-            "p95_simulated_seconds": _percentile(seconds, 0.95),
+            "p50_simulated_seconds": percentile(seconds, 0.50),
+            "p95_simulated_seconds": percentile(seconds, 0.95),
             "delta_rows_scanned": int(
                 sum(r["simulated"]["delta_rows_scanned"] for r in group)
             ),

@@ -78,8 +78,7 @@ class SharedArrayStore:
     (and repeated fragments of one plan) export each base column once.
     """
 
-    def __init__(self, min_bytes: int = SHARED_MIN_BYTES):
-        self.min_bytes = int(min_bytes)
+    def __init__(self):
         #: id(array) -> (array ref, SharedMemory, (name, dtype, shape))
         self._exports: Dict[int, tuple] = {}
         self.exported_bytes = 0
@@ -88,7 +87,7 @@ class SharedArrayStore:
         return len(self._exports)
 
     def exportable(self, array: np.ndarray) -> bool:
-        return array.dtype.kind != "O" and array.nbytes >= self.min_bytes
+        return array.dtype.kind != "O" and array.nbytes >= SHARED_MIN_BYTES
 
     def export(self, array: np.ndarray) -> Tuple[str, str, tuple]:
         """The ``(block name, dtype, shape)`` descriptor of ``array``,
@@ -289,8 +288,8 @@ class ProcessBackend(ExecutionBackend):
 
     name = "process"
 
-    def __init__(self, min_shared_bytes: int = SHARED_MIN_BYTES):
-        self._store = SharedArrayStore(min_bytes=min_shared_bytes)
+    def __init__(self):
+        self._store = SharedArrayStore()
         # fork keeps worker start cheap and inherits the loaded modules;
         # platforms without it (Windows/macOS spawn default) still work —
         # everything a worker needs travels through the pickled payload.

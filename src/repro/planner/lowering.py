@@ -74,8 +74,9 @@ from ..execution.operators import (
     StreamAgg,
     walk_physical,
 )
-from ..execution.relation import StreamUse
+from ..execution.relation import StreamUse, value_bytes
 from ..schemes.base import PhysicalDatabase
+from ..updates.delta import deleted_base_rows
 from .analysis import PlanAnalysis, analyse_plan, strip_prefix
 from .logical import (
     FilterNode,
@@ -218,13 +219,6 @@ def _selectivity(expr: Optional[Expr]) -> float:
     return 0.5
 
 
-def _value_bytes(array: np.ndarray) -> float:
-    """Engine-side bytes per value (mirrors Relation.row_bytes)."""
-    if array.dtype.kind == "U":
-        return array.dtype.itemsize / 4.0
-    return float(array.dtype.itemsize)
-
-
 def _resolve_selection(stored, restrictions, minmax_ranges):
     """Resolve a scan's selected row set from metadata only.
 
@@ -250,12 +244,9 @@ def _resolve_selection(stored, restrictions, minmax_ranges):
     if minmax_ranges and n > 0:
         mask: Optional[np.ndarray] = None
         for column, low, high in minmax_ranges:
-            index = stored.minmax_for(column)
-            keep_blocks = index.blocks_overlapping(low, high)
-            if keep_blocks.all():
+            row_keep = stored.minmax_for(column).row_mask(low, high, n)
+            if row_keep is None:
                 continue
-            block_of_row = np.arange(n) // index.block_rows
-            row_keep = keep_blocks[block_of_row]
             mask = row_keep if mask is None else (mask & row_keep)
         if mask is not None:
             if rows is None:
@@ -423,7 +414,7 @@ class _Lowering:
                     rows = np.flatnonzero(~delta.base_deleted)
                 else:
                     rows = rows[~delta.base_deleted[rows]]
-                note_bits.append(f"{delta.deleted_base_rows} deleted rows masked")
+                note_bits.append(f"{deleted_base_rows(stored)} deleted rows masked")
             delta_selected, delta_live = self._select_delta_rows(
                 stored, restrictions, minmax_ranges
             )
@@ -484,7 +475,7 @@ class _Lowering:
             op: PhysicalScan = DeltaMergeScan(delta_selected=delta_selected, **scan_fields)
         else:
             op = PhysicalScan(**scan_fields)
-        columns = {prefix + c: _value_bytes(stored.columns[c]) for c in demanded}
+        columns = {prefix + c: value_bytes(stored.columns[c]) for c in demanded}
         owners = {name: node.alias for name in columns}
         for _, _, column_name in sandwich_uses:
             columns[column_name] = 8.0
@@ -517,12 +508,11 @@ class _Lowering:
                 block_rows = stored.page_model.rows_per_page(
                     stored.stored_bytes_per_value(column)
                 )
-                index = run.minmax_for(column, block_rows)
-                keep_blocks = index.blocks_overlapping(low, high)
-                if keep_blocks.all():
-                    continue
-                block_of_row = np.arange(run.num_rows) // index.block_rows
-                keep &= keep_blocks[block_of_row]
+                row_keep = run.minmax_for(column, block_rows).row_mask(
+                    low, high, run.num_rows
+                )
+                if row_keep is not None:
+                    keep &= row_keep
             sel = np.flatnonzero(keep)
             total += len(sel)
             selected.append((run_index, sel))

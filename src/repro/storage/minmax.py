@@ -12,7 +12,7 @@ paper exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -55,23 +55,13 @@ class MinMaxIndex:
             keep &= self.mins <= high
         return keep
 
-    def row_runs_overlapping(
-        self, low, high, total_rows: int
-    ) -> List[Tuple[int, int]]:
-        """Qualifying blocks as merged ``(start_row, num_rows)`` runs."""
+    def row_mask(self, low, high, num_rows: int) -> Optional[np.ndarray]:
+        """Per row of the ``num_rows`` indexed rows: may its block hold a
+        value in ``[low, high]``?  None when every block qualifies."""
         keep = self.blocks_overlapping(low, high)
-        runs: List[Tuple[int, int]] = []
-        for b in np.flatnonzero(keep):
-            start = int(b) * self.block_rows
-            length = min(self.block_rows, total_rows - start)
-            if length <= 0:
-                continue
-            if runs and runs[-1][0] + runs[-1][1] == start:
-                prev_start, prev_len = runs[-1]
-                runs[-1] = (prev_start, prev_len + length)
-            else:
-                runs.append((start, length))
-        return runs
+        if keep.all():
+            return None
+        return np.repeat(keep, self.block_rows)[:num_rows]
 
     def selectivity(self, low, high) -> float:
         """Fraction of blocks that must be read for the range."""

@@ -16,7 +16,7 @@ it so a cached plan can never read a stale delta state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -65,18 +65,27 @@ class StoredTable:
         deleted base rows)."""
         return self.delta is not None and self.delta.is_dirty
 
-    @property
-    def live_rows(self) -> int:
-        """Logical rows visible to queries: base minus deleted plus
-        live delta inserts."""
-        if self.delta is None:
-            return self.logical_rows
-        return self.logical_rows - self.delta.deleted_base_rows + self.delta.live_delta_rows
-
     def invalidate_statistics(self) -> None:
         """Drop lazily built zone maps (after compaction rewrote the
         base columns)."""
         self._minmax.clear()
+
+    def storage_order(
+        self, keys: Optional[np.ndarray], columns: Mapping[str, np.ndarray]
+    ) -> Optional[np.ndarray]:
+        """The stable permutation into this table's storage order:
+        ``_bdcc_``-key order on BDCC (over ``keys``), sort-column order on
+        PK (``columns`` holds at least the sort columns), and None —
+        arrival order, nothing to permute — on Plain.
+
+        The one order rule of delta placement, merge-on-read and
+        compaction.  Ties keep input order, so base rows stay ahead of
+        delta rows and runs stay in commit order."""
+        if self.bdcc is not None:
+            return np.argsort(keys, kind="stable")
+        if self.sort_columns:
+            return np.lexsort(tuple(columns[c] for c in reversed(self.sort_columns)))
+        return None
 
     # ------------------------------------------------------------- layout
     def stored_bytes_per_value(self, column: str) -> float:

@@ -34,7 +34,10 @@ from .environment import Environment
 from .queries import QUERIES
 from .runner import run_query
 
-__all__ = ["refresh_pair_size", "generate_rf1", "rf2_order_keys", "RefreshResult", "run_refresh_suite"]
+__all__ = [
+    "refresh_pair_size", "generate_rf1", "rf2_order_keys", "buffer_rf1", "buffer_rf2",
+    "RefreshResult", "run_refresh_suite",
+]
 
 
 def refresh_pair_size(scale_factor: float) -> int:
@@ -138,6 +141,28 @@ def rf2_order_keys(db: Database, rng: np.random.Generator, num_orders: int) -> n
     return rng.choice(keys, num, replace=False)
 
 
+def buffer_rf1(
+    session: UpdateSession, db: Database, rng: np.random.Generator, num_orders: int
+) -> None:
+    """Draw one RF1 batch and queue it on ``session``: ``num_orders``
+    new orders with their lineitems (the caller commits)."""
+    orders_rows, lineitem_rows = generate_rf1(db, rng, num_orders)
+    session.insert_rows("orders", orders_rows)
+    session.insert_rows("lineitem", lineitem_rows)
+
+
+def buffer_rf2(
+    session: UpdateSession, db: Database, rng: np.random.Generator, num_orders: int
+) -> int:
+    """Draw one RF2 batch and queue it on ``session``: delete existing
+    orders with their lineitems, children first.  Returns the number of
+    orders queued for deletion (the caller commits)."""
+    doomed = rf2_order_keys(db, rng, num_orders).tolist()
+    session.delete_where("lineitem", InList(Col("l_orderkey"), doomed))
+    session.delete_where("orders", InList(Col("o_orderkey"), doomed))
+    return len(doomed)
+
+
 # -------------------------------------------------------------- harness
 @dataclass
 class RefreshMeasurement:
@@ -230,15 +255,11 @@ def run_refresh_suite(
             *physical_dbs.values(), policy=policy,
             disk=environment.disk, costs=environment.cost_model,
         )
-        orders_rows, lineitem_rows = generate_rf1(db, rng, batch)
-        session.insert_rows("orders", orders_rows)
-        session.insert_rows("lineitem", lineitem_rows)
+        buffer_rf1(session, db, rng, batch)
         rf1 = session.commit()
         result.rows_inserted += sum(rf1.inserted.values())
         # ---- RF2: delete orders + their lineitems -----------------------
-        doomed = rf2_order_keys(db, rng, batch)
-        session.delete_where("lineitem", InList(Col("l_orderkey"), doomed.tolist()))
-        session.delete_where("orders", InList(Col("o_orderkey"), doomed.tolist()))
+        buffer_rf2(session, db, rng, batch)
         rf2 = session.commit()
         result.rows_deleted += sum(rf2.deleted.values())
 

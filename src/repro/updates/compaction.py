@@ -31,7 +31,7 @@ from ..execution.cost import CostModel
 from ..observe.registry import REGISTRY
 from ..storage.io_model import DiskModel
 from ..storage.stored_table import StoredTable
-from .delta import DeltaStore
+from .delta import DeltaStore, base_logical_rows, deleted_base_rows
 
 __all__ = ["CompactionPolicy", "compact_table"]
 
@@ -65,45 +65,12 @@ class CompactionPolicy:
         delta = stored.delta
         if delta is None or not delta.is_dirty:
             return False
-        pending = delta.live_delta_rows + delta.deleted_base_rows
+        deleted = deleted_base_rows(stored)
+        pending = delta.live_delta_rows + deleted
         if pending < self.min_delta_rows:
             return False
-        base_live = max(stored.logical_rows - delta.deleted_base_rows, 1)
+        base_live = max(stored.logical_rows - deleted, 1)
         return pending / base_live >= self.max_delta_fraction
-
-
-def _base_logical_rows(stored: StoredTable) -> np.ndarray:
-    """Stored positions of the logical base rows, in storage-read order
-    (for BDCC: valid count-table entries, skipping consolidated-away
-    originals)."""
-    if stored.bdcc is not None:
-        return stored.bdcc.count_table.rows_for_entries(stored.bdcc.all_entries())
-    return np.arange(stored.stored_rows, dtype=np.int64)
-
-
-def _merged_order(
-    stored: StoredTable, base_keys: Optional[np.ndarray], delta: DeltaStore,
-    live_base: np.ndarray,
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Permutation merging live base rows (first) and live run rows (in
-    commit order) into scheme storage order; also the merged BDCC keys."""
-    if stored.bdcc is not None:
-        pieces = [base_keys]
-        for run in delta.runs:
-            pieces.append(run.keys[run.live_positions()])
-        all_keys = np.concatenate(pieces)
-        return np.argsort(all_keys, kind="stable"), all_keys
-    if stored.sort_columns:
-        merged_cols = {}
-        for column in stored.sort_columns:
-            pieces = [stored.columns[column][live_base]]
-            for run in delta.runs:
-                pieces.append(run.columns[column][run.live_positions()])
-            merged_cols[column] = np.concatenate(pieces)
-        order = np.lexsort(tuple(merged_cols[c] for c in reversed(stored.sort_columns)))
-        return order, None
-    total = len(live_base) + delta.live_delta_rows
-    return np.arange(total, dtype=np.int64), None
 
 
 def compact_table(
@@ -119,20 +86,35 @@ def compact_table(
     if delta is None or not delta.is_dirty:
         return 0.0, 0.0
 
-    base_rows = _base_logical_rows(stored)
+    base_rows = base_logical_rows(stored)
     live_base = base_rows[~delta.base_deleted[base_rows]]
-    bdcc = stored.bdcc
-    base_keys = bdcc.keys[live_base] if bdcc is not None else None
-    order, merged_keys = _merged_order(stored, base_keys, delta, live_base)
+    live_runs = [(run, run.live_positions()) for run in delta.runs]
 
+    def live_column(name: str) -> np.ndarray:
+        """Live base rows, then each run's live rows in commit order —
+        the concatenation a full merge-on-read scan sorts too."""
+        pieces = [stored.columns[name][live_base]]
+        pieces.extend(run.columns[name][sel] for run, sel in live_runs)
+        return np.concatenate(pieces)
+
+    bdcc = stored.bdcc
+    merged_keys = None
+    if bdcc is not None:
+        merged_keys = np.concatenate(
+            [bdcc.keys[live_base]] + [run.keys[sel] for run, sel in live_runs]
+        )
+    order = stored.storage_order(
+        merged_keys, {c: live_column(c) for c in stored.sort_columns}
+    )
+
+    # gather one column at a time: only one unsorted copy is alive
     merged_columns = {}
     read_bytes: List[float] = []
     write_bytes: List[float] = []
     for name in stored.columns:
-        pieces = [stored.columns[name][live_base]]
-        for run in delta.runs:
-            pieces.append(run.columns[name][run.live_positions()])
-        merged = np.concatenate(pieces)[order]
+        merged = live_column(name)
+        if order is not None:
+            merged = merged[order]
         merged_columns[name] = merged
         width = stored.stored_bytes_per_value(name)
         read_bytes.append((len(live_base) + delta.live_delta_rows) * width)
@@ -148,9 +130,7 @@ def compact_table(
         removed_keys, removed_counts = np.unique(
             bdcc.keys[deleted_rows] >> shift, return_counts=True
         )
-        added: List[np.ndarray] = [
-            run.keys[run.live_positions()] >> shift for run in delta.runs
-        ]
+        added = [run.keys[sel] >> shift for run, sel in live_runs]
         added_all = np.concatenate(added) if added else np.zeros(0, dtype=np.uint64)
         added_keys, added_counts = np.unique(added_all, return_counts=True)
         bdcc.count_table = CountTable.merge_entries(

@@ -34,7 +34,10 @@ from ..storage.database import Database
 from ..storage.minmax import MinMaxIndex
 from ..storage.stored_table import StoredTable
 
-__all__ = ["DeltaRun", "DeltaStore", "ensure_delta", "place_delta_run"]
+__all__ = [
+    "DeltaRun", "DeltaStore", "base_logical_rows", "deleted_base_rows", "ensure_delta",
+    "place_delta_run",
+]
 
 
 @dataclass
@@ -80,7 +83,8 @@ class DeltaStore:
     """All uncompacted update state of one stored table."""
 
     #: deletion bitmap over the base storage (stored positions, so
-    #: consolidated duplicate regions are marked consistently too).
+    #: consolidated duplicate regions are marked consistently too;
+    #: :func:`deleted_base_rows` counts logical rows).
     base_deleted: np.ndarray
     runs: List[DeltaRun] = field(default_factory=list)
 
@@ -96,9 +100,25 @@ class DeltaStore:
     def total_delta_rows(self) -> int:
         return sum(run.num_rows for run in self.runs)
 
-    @property
-    def deleted_base_rows(self) -> int:
-        return int(np.count_nonzero(self.base_deleted))
+
+def base_logical_rows(stored: StoredTable) -> np.ndarray:
+    """Stored positions of the logical base rows, in storage-read order
+    (for BDCC: valid count-table entries, skipping consolidated-away
+    originals)."""
+    if stored.bdcc is not None:
+        return stored.bdcc.count_table.rows_for_entries(stored.bdcc.all_entries())
+    return np.arange(stored.stored_rows, dtype=np.int64)
+
+
+def deleted_base_rows(stored: StoredTable) -> int:
+    """Logical base rows deleted since the last compaction: each row
+    counts once, although consolidation stores small groups twice."""
+    if stored.delta is None:
+        return 0
+    deleted = stored.delta.base_deleted
+    if stored.stored_rows != stored.logical_rows:  # consolidated duplicates
+        deleted = deleted[base_logical_rows(stored)]
+    return int(np.count_nonzero(deleted))
 
 
 def ensure_delta(stored: StoredTable) -> DeltaStore:
@@ -117,23 +137,19 @@ def place_delta_run(
     just appended to the logical database (they sit at positions
     ``n_old .. n_old+n_new`` of the db arrays).
 
-    Placement per scheme: BDCC runs are binned into existing zones and
-    key-sorted; PK runs are sorted on the primary key; Plain runs keep
-    arrival order.
+    BDCC runs are binned into existing zones first; every run is then
+    put in :meth:`~repro.storage.stored_table.StoredTable.storage_order`.
     """
     data = db.table_data(stored.name)
     row_indices = np.arange(n_old, n_old + n_new, dtype=np.int64)
     columns = {name: values[row_indices] for name, values in data.items()}
+    keys = None
     if stored.bdcc is not None:
         keys = stored.bdcc.keys_for_rows(db, row_indices)
-        order = np.argsort(keys, kind="stable")
-        return DeltaRun(
-            columns={name: values[order] for name, values in columns.items()},
-            keys=keys[order],
-        )
-    if stored.sort_columns:
-        order = np.lexsort(tuple(columns[c] for c in reversed(stored.sort_columns)))
-        return DeltaRun(
-            columns={name: values[order] for name, values in columns.items()}
-        )
-    return DeltaRun(columns=columns)
+    order = stored.storage_order(keys, columns)
+    if order is None:
+        return DeltaRun(columns=columns)
+    return DeltaRun(
+        columns={name: values[order] for name, values in columns.items()},
+        keys=None if keys is None else keys[order],
+    )

@@ -346,8 +346,7 @@ class Divergence:
     ``check`` names the contract that broke: ``reference`` (result vs
     the naive reference), ``serial`` (parallel run vs the scheme's
     serial default run, bit-for-bit), ``solo`` (served result vs its
-    solo replay), ``epoch`` (replay not at the pinned epochs) or
-    ``append-rebuild`` (incremental append vs the full-rebuild path).
+    solo replay) or ``epoch`` (replay not at the pinned epochs).
     ``variant`` is the ablation variant of a sweep, or
     ``policy/stream/seq`` of a served query.  ``reproduce`` holds the
     ``python -m repro.workload`` flags that rebuild the same database
@@ -547,11 +546,9 @@ def run_differential(
     insert/delete batch is committed through one
     :class:`~repro.updates.UpdateSession` (compaction ``policy``; all
     schemes share the logical database, so the naive reference sees
-    every change automatically).  Round 0, when insert-only,
-    additionally cross-checks the incremental append path against the
-    full-rebuild slow path (the oracle's second reference).  Executors
-    persist across rounds, so a stale cached plan surviving a commit
-    would surface as a divergence — the epoch keying is under test too.
+    every change automatically).  Executors persist across rounds, so a
+    stale cached plan surviving a commit would surface as a divergence —
+    the epoch keying is under test too.
 
     ``repro_flags`` names the extra CLI flags (``--sf``,
     ``--datagen-seed``) that rebuild the same database, so divergence
@@ -590,16 +587,8 @@ def run_differential(
             )
             if rounds and index == round_index * per_round:
                 batch = update_generator.generate(seed, round_index)
-                for table, rows in batch.inserts:
-                    session.insert_rows(table, rows)
-                for table, predicate in batch.deletes:
-                    session.delete_where(table, predicate)
-                result = session.commit()
-                report.count_commit(result)
-                if round_index == 0 and batch.is_insert_only and not result.compacted_tables():
-                    _append_second_reference(report, physical_dbs, batch, reproduce)
-                if report.divergences and fail_fast:
-                    return report
+                batch.buffer_into(session)
+                report.count_commit(session.commit())
                 after = f" (after {batch.description})"
             query = generator.generate(seed, index)
             query.description += after
@@ -704,51 +693,3 @@ def _check_one_query(
                 totals["io_seconds"] += actuals.io_seconds
                 totals["cpu_seconds"] += actuals.cpu_seconds
                 totals["reserved_bytes"] += actuals.reserved_bytes
-
-
-def _append_second_reference(
-    report: WorkloadReport,
-    physical_dbs: Dict[str, PhysicalDatabase],
-    batch,
-    reproduce: str,
-) -> None:
-    """Cross-check the incremental append path against the full-rebuild
-    slow path (``append_rows(..., rebuild=True)``) — valid on the first,
-    insert-only commit, while the BDCC base tables still match the
-    pristine build.  Key order, row placement and the incrementally
-    merged count table must agree exactly."""
-    from ..core.append import append_rows
-
-    bdcc_pdb = next(
-        (pdb for pdb in physical_dbs.values() if pdb.bdcc_tables()), None
-    )
-    if bdcc_pdb is None:
-        return
-    db = bdcc_pdb.database
-    for table, rows in batch.inserts:
-        stored = bdcc_pdb.table(table)
-        if stored.bdcc is None:
-            continue
-        incremental = append_rows(stored.bdcc, db, rows)
-        rebuilt = append_rows(stored.bdcc, db, rows, rebuild=True)
-        same = (
-            np.array_equal(incremental.keys, rebuilt.keys)
-            and np.array_equal(incremental.row_source, rebuilt.row_source)
-            and np.array_equal(incremental.count_table.keys, rebuilt.count_table.keys)
-            and np.array_equal(incremental.count_table.counts, rebuilt.count_table.counts)
-            and np.array_equal(incremental.count_table.offsets, rebuilt.count_table.offsets)
-        )
-        if not same:
-            report.divergences.append(
-                Divergence(
-                    seed=batch.seed,
-                    index=batch.index,
-                    scheme=bdcc_pdb.scheme_name,
-                    variant="",
-                    check="append-rebuild",
-                    description=batch.description,
-                    detail="incremental append diverges from the full rebuild",
-                    reproduce=reproduce,
-                    logical_plan=f"append {len(next(iter(rows.values())))} rows to {table}",
-                )
-            )

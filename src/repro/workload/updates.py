@@ -48,13 +48,13 @@ class UpdateBatch:
     deletes: List[Tuple[str, Expr]] = field(default_factory=list)
     description: str = ""
 
-    @property
-    def is_insert_only(self) -> bool:
-        return bool(self.inserts) and not self.deletes
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.inserts and not self.deletes
+    def buffer_into(self, session) -> None:
+        """Queue the inserts, then the deletes, on an
+        :class:`~repro.updates.UpdateSession`; the caller commits."""
+        for table, rows in self.inserts:
+            session.insert_rows(table, rows)
+        for table, predicate in self.deletes:
+            session.delete_where(table, predicate)
 
 
 class UpdateGenerator:
@@ -177,9 +177,9 @@ class UpdateGenerator:
     # -------------------------------------------------------------- public
     def generate(self, seed: int, index: int) -> UpdateBatch:
         """The batch for ``(seed, index)``; deterministic for a given
-        database state.  Round 0 is insert-only so the differential
-        oracle can cross-check the incremental append path against the
-        full-rebuild reference."""
+        database state.  Round 0 inserts and never deletes, so every
+        sweep's first commit places delta runs over the pristine
+        build."""
         rng = np.random.RandomState([seed & 0x7FFFFFFF, (index + 0x5EED) & 0x7FFFFFFF])
         batch = UpdateBatch(seed=seed, index=index)
         shape: List[str] = []

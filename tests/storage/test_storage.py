@@ -82,10 +82,17 @@ class TestMinMax:
         assert np.all(idx.blocks_overlapping(None, None))
         assert np.count_nonzero(idx.blocks_overlapping(95, None)) == 1
 
-    def test_row_runs_merge(self):
+    def test_row_mask(self):
         idx = MinMaxIndex.build(np.arange(100), 10)
-        runs = idx.row_runs_overlapping(0, 35, total_rows=100)
-        assert runs == [(0, 40)]
+        mask = idx.row_mask(0, 35, num_rows=100)
+        assert np.array_equal(np.flatnonzero(mask), np.arange(40))
+        # a short last block masks only the rows that exist
+        tail = MinMaxIndex.build(np.arange(95), 10).row_mask(90, None, num_rows=95)
+        assert len(tail) == 95
+        assert np.array_equal(np.flatnonzero(tail), np.arange(90, 95))
+        # nothing to prune: no mask at all
+        assert idx.row_mask(None, None, num_rows=100) is None
+        assert idx.row_mask(-5, 200, num_rows=100) is None
 
     def test_random_order_prunes_nothing(self):
         rng = np.random.default_rng(0)

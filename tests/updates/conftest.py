@@ -11,19 +11,43 @@ import numpy as np
 import pytest
 
 from repro import tpch
+from repro.core.bdcc_table import BDCCBuildConfig
 from repro.tpch.environment import make_environment
 from repro.tpch.harness import build_schemes
 
 UPDATE_SF = 0.002
 UPDATE_SEED = 1234
 
+#: a BDCC build that consolidates small groups at UPDATE_SF: ORDERS,
+#: LINEITEM and PARTSUPP then store some logical rows twice.
+CONSOLIDATING = BDCCBuildConfig(efficient_access_bytes=2048, consolidate_max_fraction=0.9)
+
+
+def build_fresh(bdcc_config=None):
+    """(db, env, pdbs) built fresh — safe to mutate; ``bdcc_config``
+    replaces the environment's BDCC build configuration."""
+    db = tpch.generate(scale_factor=UPDATE_SF, seed=UPDATE_SEED)
+    env = make_environment(UPDATE_SF)
+    advisor_config = None if bdcc_config is None else env.advisor_config(build=bdcc_config)
+    pdbs = build_schemes(db, env, advisor_config=advisor_config)
+    return db, env, pdbs
+
 
 @pytest.fixture()
 def fresh():
     """(db, env, pdbs) built fresh for one test — safe to mutate."""
-    db = tpch.generate(scale_factor=UPDATE_SF, seed=UPDATE_SEED)
-    env = make_environment(UPDATE_SF)
-    pdbs = build_schemes(db, env)
+    return build_fresh()
+
+
+@pytest.fixture(params=["default", "consolidated"])
+def fresh_builds(request):
+    """``fresh``, once with the default BDCC build and once with a build
+    whose small groups are consolidated (stored twice)."""
+    if request.param == "default":
+        return build_fresh()
+    db, env, pdbs = build_fresh(CONSOLIDATING)
+    orders = pdbs["bdcc"].table("orders")
+    assert orders.stored_rows > orders.logical_rows, "the build must consolidate"
     return db, env, pdbs
 
 

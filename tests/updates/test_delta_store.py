@@ -8,11 +8,17 @@ from repro.execution.expressions import col
 from repro.execution.aggregate import AggSpec
 from repro.planner.executor import ExecutionOptions, Executor
 from repro.planner.logical import scan
-from repro.updates import CompactionPolicy, UpdateSession
+from repro.updates import CompactionPolicy, UpdateSession, compact_table
+from repro.updates.delta import deleted_base_rows
 from repro.workload.differential import normalized_rows
 from repro.workload.updates import UpdateGenerator
 
-from .conftest import sample_lineitem_insert, sample_orders_insert
+from .conftest import (
+    CONSOLIDATING,
+    build_fresh,
+    sample_lineitem_insert,
+    sample_orders_insert,
+)
 
 NO_COMPACTION = CompactionPolicy(max_delta_fraction=None)
 
@@ -41,8 +47,8 @@ def _commit_mixed(db, pdbs, policy=NO_COMPACTION):
 
 
 class TestMergeOnRead:
-    def test_every_scheme_equals_the_logical_database(self, fresh):
-        db, env, pdbs = fresh
+    def test_every_scheme_equals_the_logical_database(self, fresh_builds):
+        db, env, pdbs = fresh_builds
         result = _commit_mixed(db, pdbs)
         assert result.inserted == {"orders": 40, "lineitem": 120}
         assert result.deleted["lineitem"] > 0
@@ -140,8 +146,8 @@ class TestRandomizedBatches:
 
 
 class TestCompaction:
-    def test_threshold_folds_deltas_and_preserves_results(self, fresh):
-        db, env, pdbs = fresh
+    def test_threshold_folds_deltas_and_preserves_results(self, fresh_builds):
+        db, env, pdbs = fresh_builds
         policy = CompactionPolicy(max_delta_fraction=0.01, min_delta_rows=1)
         before = {}
         for name, pdb in pdbs.items():
@@ -162,19 +168,54 @@ class TestCompaction:
                 got, names = _table_multiset(pdb, env, table)
                 assert got == _db_multiset(db, table, names), (name, table)
 
-    def test_compacted_bdcc_count_table_matches_full_rebuild(self, fresh):
-        db, env, pdbs = fresh
+    def test_compacted_bdcc_count_table_matches_full_rebuild(self, fresh_builds):
+        """Also on consolidated tables: compaction folds the duplicated
+        small groups back to one copy of each logical row."""
+        db, env, pdbs = fresh_builds
         policy = CompactionPolicy(max_delta_fraction=0.01, min_delta_rows=1)
         _commit_mixed(db, pdbs, policy=policy)
-        bdcc = pdbs["bdcc"].table("lineitem").bdcc
-        rebuilt = CountTable.from_sorted_keys(
-            bdcc.keys, bdcc.total_bits, bdcc.granularity
+        for table in ("orders", "lineitem"):
+            stored = pdbs["bdcc"].table(table)
+            bdcc = stored.bdcc
+            rebuilt = CountTable.from_sorted_keys(
+                bdcc.keys, bdcc.total_bits, bdcc.granularity
+            )
+            assert np.array_equal(bdcc.count_table.keys, rebuilt.keys), table
+            assert np.array_equal(bdcc.count_table.counts, rebuilt.counts), table
+            assert np.array_equal(bdcc.count_table.offsets, rebuilt.offsets), table
+            assert bdcc.count_table.valid.all()
+            assert bdcc.logical_rows == db.num_rows(table)
+            assert stored.stored_rows == db.num_rows(table)
+
+    def test_insert_only_compaction_keeps_zones_and_bins_every_row(self, fresh_builds):
+        """Inserts bin into existing zones and nothing is renumbered:
+        after compaction every old zone is still there with at least its
+        old count, and the stored keys are exactly the keys every
+        logical row bins to under the table's existing dimensions."""
+        db, env, pdbs = fresh_builds
+        before = {}
+        for table in ("orders", "lineitem"):
+            ct = pdbs["bdcc"].table(table).bdcc.count_table
+            valid = ct.valid
+            before[table] = dict(zip(ct.keys[valid].tolist(), ct.counts[valid].tolist()))
+        rng = np.random.default_rng(7)
+        session = UpdateSession(
+            pdbs["bdcc"], policy=CompactionPolicy(max_delta_fraction=0.001, min_delta_rows=1)
         )
-        assert np.array_equal(bdcc.count_table.keys, rebuilt.keys)
-        assert np.array_equal(bdcc.count_table.counts, rebuilt.counts)
-        assert np.array_equal(bdcc.count_table.offsets, rebuilt.offsets)
-        assert bdcc.count_table.valid.all()
-        assert bdcc.logical_rows == db.num_rows("lineitem")
+        orders = sample_orders_insert(db, rng, 40)
+        session.insert_rows("orders", orders)
+        session.insert_rows(
+            "lineitem", sample_lineitem_insert(db, rng, orders["o_orderkey"])
+        )
+        result = session.commit()
+        assert result.compacted_tables() == ["lineitem", "orders"]
+        for table, old in before.items():
+            bdcc = pdbs["bdcc"].table(table).bdcc
+            new = dict(zip(bdcc.count_table.keys.tolist(), bdcc.count_table.counts.tolist()))
+            for key, count in old.items():
+                assert new.get(key, 0) >= count, (table, key)
+            expected = bdcc.keys_for_rows(db, np.arange(db.num_rows(table)))
+            assert np.array_equal(bdcc.keys, np.sort(expected)), table
 
     def test_zone_maps_rebuild_over_the_new_storage(self, fresh):
         db, env, pdbs = fresh
@@ -186,6 +227,55 @@ class TestCompaction:
         assert not stored._minmax  # invalidated; rebuilt lazily on demand
         index = stored.minmax_for("l_quantity")
         assert float(index.maxs.max()) == float(stored.columns["l_quantity"].max())
+
+
+class TestConsolidatedDeletes:
+    def test_deleted_base_rows_count_each_logical_row_once(self):
+        """Consolidation stores small groups twice; the deletion bitmap
+        marks both copies, but the policy and the scan note count the
+        logical rows.  399 of 3,000 orders is a 0.153 fraction, below a
+        0.2 threshold (counting both copies would read 0.33)."""
+        db, env, pdbs = build_fresh(CONSOLIDATING)
+        session = UpdateSession(
+            pdbs["bdcc"], policy=CompactionPolicy(max_delta_fraction=0.2, min_delta_rows=1)
+        )
+        session.delete_where("orders", col("o_orderkey").lt(400))
+        result = session.commit()
+        stored = pdbs["bdcc"].table("orders")
+        assert result.deleted == {"orders": 399}
+        assert result.compacted_tables() == []
+        assert np.count_nonzero(stored.delta.base_deleted) > 399  # both copies
+        assert deleted_base_rows(stored) == 399
+        executor = Executor(pdbs["bdcc"], disk=env.disk, costs=env.cost_model)
+        assert "399 deleted rows masked" in executor.lower(scan("orders")).root.rationale
+        got, names = _table_multiset(pdbs["bdcc"], env, "orders")
+        assert got == _db_multiset(db, "orders", names)
+
+
+class TestStorageOrder:
+    def test_merge_on_read_returns_the_compacted_order(self, fresh_builds):
+        """A full merge-on-read scan and the compaction that follows it
+        put base ∪ delta − deleted in one order: the same arrays, row
+        for row, under every scheme."""
+        db, env, pdbs = fresh_builds
+        session = UpdateSession(*pdbs.values(), policy=NO_COMPACTION)
+        generator = UpdateGenerator(db)
+        for round_index in range(3):
+            generator.generate(seed=5, index=round_index).buffer_into(session)
+            session.commit()
+        _commit_mixed(db, pdbs)
+        _commit_mixed(db, pdbs)  # deletes rows of the earlier runs too
+        for name, pdb in pdbs.items():
+            for table, stored in pdb.stored.items():
+                if not stored.has_delta:
+                    continue
+                executor = Executor(pdb, disk=env.disk, costs=env.cost_model)
+                scanned = executor.execute(scan(table)).relation
+                compact_table(stored, env.disk, env.cost_model)
+                for column, values in stored.columns.items():
+                    assert np.array_equal(scanned.column(column), values), (
+                        name, table, column,
+                    )
 
 
 class TestSessionValidation:
