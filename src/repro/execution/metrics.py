@@ -169,7 +169,7 @@ def merge_operator_actuals(
 
 @dataclass
 class FragmentActuals:
-    """Measured quantities of one plan fragment in a parallel execution.
+    """Measured quantities of one plan fragment of an execution.
 
     ``io_seconds``/``cpu_seconds`` are the *charged* (uncontended)
     resource seconds — across fragments they sum to the query totals.
@@ -263,7 +263,7 @@ class ExecutionMetrics:
     #: serial run this equals ``total_seconds``; a parallel run overlaps
     #: fragments, so makespan < total (the resource-seconds sum).
     makespan_seconds: float = 0.0
-    #: per-fragment actuals of a parallel execution (empty when serial).
+    #: per-fragment actuals; a serial run has one ``serial`` fragment.
     fragments: List[FragmentActuals] = field(default_factory=list)
     #: execution backend that produced these metrics ("simulated" — the
     #: deterministic in-process scheduler — or "process").
@@ -274,10 +274,10 @@ class ExecutionMetrics:
     #: it never feeds ``total_seconds``/``wall_seconds``, which stay
     #: deterministic model outputs.
     measured_wall_seconds: float = 0.0
-    #: top-N cProfile function stats of this execution (opt-in via
+    #: top-N cProfile function stats of one fragment's run (opt-in via
     #: ``ExecutionOptions.profile``; see ``repro.observe.profiling``).
-    #: For parallel runs the per-fragment stats live on
-    #: ``fragments[i].profile`` instead and this stays empty.
+    #: Query metrics keep them per fragment on ``fragments[i].profile``
+    #: and leave this empty.
     profile: List[dict] = field(default_factory=list)
 
     @property

@@ -43,6 +43,7 @@ from .fragments import (
     Fragment,
     ParallelPlan,
     plan_fragments,
+    whole_plan,
 )
 from .scheduler import (
     FragmentWork,
@@ -50,7 +51,7 @@ from .scheduler import (
     concurrent_peak,
     execute_fragments,
     merge_parallel_metrics,
-    run_parallel,
+    run_fragment,
     simulate_schedule,
 )
 
@@ -65,12 +66,13 @@ __all__ = [
     "Fragment",
     "ParallelPlan",
     "plan_fragments",
+    "whole_plan",
     "FragmentWork",
     "ScheduledFragment",
     "concurrent_peak",
     "execute_fragments",
     "merge_parallel_metrics",
-    "run_parallel",
+    "run_fragment",
     "simulate_schedule",
     "BACKEND_NAMES",
     "ExecutionBackend",

@@ -3,10 +3,10 @@
 The engine keeps one fragmenting pass and one timing model, but two ways
 of actually producing the fragment results:
 
-* :class:`SimulatedBackend` — today's behaviour, unchanged: fragments
-  execute in-process in topological order
-  (:func:`~repro.parallel.scheduler.execute_fragments`) and wall clock
-  is purely *modelled* by the deterministic scheduler.
+* :class:`SimulatedBackend` — fragments execute in-process in
+  topological order (:func:`~repro.parallel.scheduler.execute_fragments`)
+  and wall clock is purely *modelled* by the deterministic scheduler.
+  Every one-fragment (serial) plan runs this way, whatever the backend.
 * :class:`ProcessBackend` — the same :class:`~repro.parallel.fragments.ParallelPlan`
   on a real ``multiprocessing`` pool: base numpy arrays are exported
   once into :mod:`multiprocessing.shared_memory` blocks (workers map
@@ -47,12 +47,11 @@ import numpy as np
 
 from ..execution.cost import CostModel
 from ..execution.metrics import ExecutionMetrics
-from ..execution.operators import ExecutionContext, walk_physical
+from ..execution.operators import walk_physical
 from ..execution.relation import Relation
-from ..observe.profiling import profile_call
 from ..storage.io_model import DiskModel
 from .fragments import Fragment, ParallelPlan
-from .scheduler import execute_fragments, merge_parallel_metrics, run_parallel
+from .scheduler import execute_fragments, run_fragment
 
 __all__ = [
     "ExecutionBackend",
@@ -221,13 +220,9 @@ def _run_fragment_task(payload: bytes, deps_blob: bytes):
     they pickle like everything else)."""
     index, root, disk, costs, profile = _loads_shared(payload)
     deps: Dict[int, Relation] = pickle.loads(deps_blob)
-    metrics = ExecutionMetrics()
-    ctx = ExecutionContext(disk, costs, metrics, fragment_results=deps)
     started = time.perf_counter()
-    relation, metrics.profile = profile_call(root.run, ctx, enabled=profile)
+    relation, metrics = run_fragment(root, disk, costs, deps, profile)
     ended = time.perf_counter()
-    ctx.release_all()
-    metrics.rows_produced = relation.num_rows
     actuals = [metrics.operators.get(id(op)) for op in walk_physical(root)]
     metrics.operators = {}
     return index, relation, metrics, actuals, (started, ended)
@@ -235,25 +230,23 @@ def _run_fragment_task(payload: bytes, deps_blob: bytes):
 
 # ------------------------------------------------------------- backends
 class ExecutionBackend:
-    """How the *run* stage of a parallel execution is carried out."""
+    """How the *run* stage of an execution is carried out."""
 
     name = "abstract"
-
-    def run(
-        self, plan: ParallelPlan, disk: DiskModel, costs: CostModel,
-        profile: bool = False,
-    ) -> Tuple[Relation, ExecutionMetrics]:
-        raise NotImplementedError
 
     def execute_fragments(
         self, plan: ParallelPlan, disk: DiskModel, costs: CostModel,
         profile: bool = False,
-    ) -> Tuple[Dict[int, Relation], Dict[int, ExecutionMetrics]]:
-        """The bare *run* stage: per-fragment results and charged
-        metrics, **without** the single-query time stage.  The serving
-        layer (``repro.serving``) uses this to produce exact results
-        and charges, then places the fragments on its own shared
-        multi-query timeline instead of a per-query schedule."""
+    ) -> Tuple[
+        Dict[int, Relation], Dict[int, ExecutionMetrics],
+        Dict[int, Tuple[float, float]],
+    ]:
+        """The *run* stage: per-fragment results and charged metrics,
+        plus the measured wall-clock window of each fragment (seconds
+        relative to the call's start; empty on a backend that measures
+        nothing).  The shared *time* stage
+        (:func:`~repro.parallel.scheduler.merge_parallel_metrics`) folds
+        them into the query's metrics."""
         raise NotImplementedError
 
     def close(self) -> None:  # backends holding pools/blocks override
@@ -262,28 +255,25 @@ class ExecutionBackend:
 
 class SimulatedBackend(ExecutionBackend):
     """In-process execution under the deterministic simulated scheduler
-    — the engine's default, byte-for-byte today's ``run_parallel``."""
+    — the engine's default."""
 
     name = "simulated"
 
-    def run(self, plan, disk, costs, profile=False):
-        return run_parallel(plan, disk, costs, profile=profile)
-
     def execute_fragments(self, plan, disk, costs, profile=False):
-        return execute_fragments(plan, disk, costs, profile=profile)
+        return (*execute_fragments(plan, disk, costs, profile=profile), {})
 
 
 class ProcessBackend(ExecutionBackend):
     """Executes the same fragment DAG on a real ``multiprocessing``
     pool, measuring wall clock next to the simulated charges.
 
-    The pool is created lazily at the first parallel run and reused
-    across queries (grown if a later plan asks for more workers); the
-    final (serial-tail) fragment runs in the parent — it consumes every
-    gathered partition anyway, so running it here saves shipping the
-    gathered result through one more process hop.  ``close()`` tears
+    The pool is created lazily at the first fragment it must dispatch
+    and reused across queries (grown if a later plan asks for more
+    workers); the final (serial-tail) fragment runs in the parent — it
+    consumes every gathered partition anyway, so running it here saves
+    shipping the gathered result through one more process hop.  ``close()`` tears
     down the pool and unlinks every shared-memory block; the backend is
-    unusable afterwards until the next ``run`` recreates the pool.
+    unusable afterwards until the next dispatch recreates the pool.
     """
 
     name = "process"
@@ -327,44 +317,17 @@ class ProcessBackend(ExecutionBackend):
 
     # -------------------------------------------------------------- run
     def execute_fragments(self, plan, disk, costs, profile=False):
-        if len(plan.fragments) <= 1:  # degenerate: nothing to dispatch
-            return execute_fragments(plan, disk, costs, profile=profile)
-        results, fragment_metrics, _ = self._execute(
-            plan, disk, costs, profile, time.perf_counter()
-        )
-        return results, fragment_metrics
-
-    def run(self, plan, disk, costs, profile=False):
-        started = time.perf_counter()
-        if len(plan.fragments) <= 1:  # degenerate: nothing to dispatch
-            relation, merged = run_parallel(plan, disk, costs, profile=profile)
-            merged.backend = self.name
-            merged.measured_wall_seconds = time.perf_counter() - started
-            return relation, merged
-
-        results, fragment_metrics, measured = self._execute(
-            plan, disk, costs, profile, started
-        )
-        relation, merged = merge_parallel_metrics(
-            plan, results, fragment_metrics, disk
-        )
-        merged.backend = self.name
-        for fragment_actuals in merged.fragments:
-            window = measured.get(fragment_actuals.index)
-            if window is not None:
-                fragment_actuals.measured_start_seconds = window[0]
-                fragment_actuals.measured_end_seconds = window[1]
-                fragment_actuals.measured_seconds = window[1] - window[0]
-        merged.measured_wall_seconds = time.perf_counter() - started
-        return relation, merged
-
-    def _execute(self, plan, disk, costs, profile, started):
         """Dispatch the fragment DAG on the pool; the final (serial
-        tail) fragment runs in the parent.  Returns per-fragment
-        results, charged metrics, and measured wall-clock windows
-        rebased onto ``started``."""
-        pool = self._ensure_pool(plan.workers)
+        tail) fragment runs in the parent, and the pool starts only
+        when some other fragment exists.  Returns per-fragment results,
+        charged metrics, and measured wall-clock windows relative to
+        the call's start."""
+        started = time.perf_counter()
         final = plan.final
+        pool_fragments = [f for f in plan.fragments if f is not final]
+        # started before any payload is pickled, so the workers boot
+        # while the parent serializes the first fragments
+        pool = self._ensure_pool(plan.workers) if pool_fragments else None
         by_index: Dict[int, Fragment] = {f.index: f for f in plan.fragments}
         remaining = {f.index: set(f.depends_on) for f in plan.fragments}
         dependents: Dict[int, List[int]] = {}
@@ -394,7 +357,6 @@ class ProcessBackend(ExecutionBackend):
                 error_callback=lambda exc: events.put(("error", exc)),
             )
 
-        pool_fragments = [f for f in plan.fragments if f is not final]
         for fragment in pool_fragments:
             if not remaining[fragment.index]:
                 submit(fragment)
@@ -429,17 +391,11 @@ class ProcessBackend(ExecutionBackend):
                     submit(by_index[waiter])
 
         # serial tail in the parent, over the gathered worker results
-        metrics = ExecutionMetrics()
-        ctx = ExecutionContext(disk, costs, metrics, fragment_results=results)
         tail_start = time.perf_counter()
-        relation, metrics.profile = profile_call(
-            final.root.run, ctx, enabled=profile
+        results[final.index], fragment_metrics[final.index] = run_fragment(
+            final.root, disk, costs, results, profile
         )
         measured[final.index] = (tail_start - started, time.perf_counter() - started)
-        ctx.release_all()
-        metrics.rows_produced = relation.num_rows
-        results[final.index] = relation
-        fragment_metrics[final.index] = metrics
         return results, fragment_metrics, measured
 
 

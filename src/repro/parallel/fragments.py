@@ -83,6 +83,7 @@ __all__ = [
     "Fragment",
     "ParallelPlan",
     "plan_fragments",
+    "whole_plan",
     "DEFAULT_MIN_PARTITION_ROWS",
     "MIN_COPARTITION_PARTS",
     "PARTIAL_AGG_SHRINK",
@@ -133,9 +134,9 @@ class ParallelPlan:
     """A physical plan cut into fragments, ready for the scheduler.
 
     Fragments are topologically ordered: every producer precedes its
-    consumers and the final (serial-tail) fragment comes last.  A plan
-    with a single fragment means nothing was splittable — the executor
-    falls back to the plain serial path."""
+    consumers and the final (serial-tail) fragment comes last.  A serial
+    plan is the one-fragment case (:func:`whole_plan`): the executor
+    runs it through the same run and time stages, on one worker."""
 
     fragments: List[Fragment]
     workers: int
@@ -732,13 +733,30 @@ def plan_fragments(
         enable_partial_agg=enable_partial_agg,
     )
     root = planner.visit(pplan.root)
-    role = "final" if planner.fragments else "serial"
-    note = "serial tail above the gathers" if planner.fragments else "no splittable scan"
-    planner._add(root, role, note)
+    if not planner.fragments:  # no splittable scan
+        return whole_plan(pplan, planner.workers, planner.notes)
+    planner._add(root, "final", "serial tail above the gathers")
     return ParallelPlan(
         fragments=planner.fragments,
         workers=planner.workers,
         scheme_name=pplan.scheme_name,
         serial=pplan,
         notes=planner.notes,
+    )
+
+
+def whole_plan(pplan, workers: int = 1, notes=()) -> ParallelPlan:
+    """The one-fragment plan of a lowered plan: the whole operator tree
+    as a single ``serial`` fragment — what the executor runs at one
+    worker, and what :func:`plan_fragments` yields when nothing
+    splits."""
+    return ParallelPlan(
+        fragments=[
+            Fragment(index=0, root=pplan.root, role="serial",
+                     note="whole plan, one worker")
+        ],
+        workers=max(int(workers), 1),
+        scheme_name=pplan.scheme_name,
+        serial=pplan,
+        notes=list(notes),
     )

@@ -60,7 +60,7 @@ __all__ = [
     "concurrent_peak",
     "execute_fragments",
     "merge_parallel_metrics",
-    "run_parallel",
+    "run_fragment",
 ]
 
 _EPS = 1e-15
@@ -324,6 +324,30 @@ def concurrent_peak(intervals: List[Tuple[float, float, float]]) -> float:
 
 
 # -------------------------------------------------------------- running
+def run_fragment(
+    root,
+    disk: DiskModel,
+    costs: CostModel,
+    fragment_results: Optional[Dict[int, Relation]] = None,
+    profile: bool = False,
+) -> Tuple[Relation, ExecutionMetrics]:
+    """Run one plan tree to completion with its own
+    :class:`~repro.execution.metrics.ExecutionMetrics` — the single
+    place a plan is executed, whether it is a whole serial plan, a
+    fragment in this process, a fragment in a pool worker or the
+    process backend's serial tail.  ``fragment_results`` feeds the
+    tree's Exchange/Repartition leaves; with ``profile`` the run is
+    wrapped in ``cProfile`` and its top functions land on
+    ``metrics.profile`` (passive: charges and results are
+    unaffected)."""
+    metrics = ExecutionMetrics()
+    ctx = ExecutionContext(disk, costs, metrics, fragment_results=fragment_results)
+    relation, metrics.profile = profile_call(root.run, ctx, enabled=profile)
+    ctx.release_all()
+    metrics.rows_produced = relation.num_rows
+    return relation, metrics
+
+
 def execute_fragments(
     plan: ParallelPlan,
     disk: DiskModel,
@@ -332,26 +356,18 @@ def execute_fragments(
 ) -> Tuple[Dict[int, Relation], Dict[int, ExecutionMetrics]]:
     """The *run* stage: execute every fragment once, in topological
     order, in the current process — producing exact results and each
-    fragment's charged (uncontended) metrics.  Backends that run
-    fragments elsewhere (``repro.parallel.backends.ProcessBackend``)
-    replace exactly this function; the *time* stage
-    (:func:`merge_parallel_metrics`) is shared so the simulated charges
-    are identical whichever backend produced the results.  With
-    ``profile`` each fragment runs under ``cProfile`` and its top
-    functions land on ``metrics.profile`` (passive: charges and results
-    are unaffected)."""
+    fragment's charged (uncontended) metrics.  A serial plan is the
+    one-fragment case.  Backends that run fragments elsewhere
+    (``repro.parallel.backends.ProcessBackend``) replace exactly this
+    function; the *time* stage (:func:`merge_parallel_metrics`) is
+    shared so the simulated charges are identical whichever backend
+    produced the results."""
     results: Dict[int, Relation] = {}
     fragment_metrics: Dict[int, ExecutionMetrics] = {}
     for fragment in plan.fragments:  # topological by construction
-        metrics = ExecutionMetrics()
-        ctx = ExecutionContext(disk, costs, metrics, fragment_results=results)
-        relation, metrics.profile = profile_call(
-            fragment.root.run, ctx, enabled=profile
+        results[fragment.index], fragment_metrics[fragment.index] = run_fragment(
+            fragment.root, disk, costs, results, profile
         )
-        ctx.release_all()
-        metrics.rows_produced = relation.num_rows
-        results[fragment.index] = relation
-        fragment_metrics[fragment.index] = metrics
     return results, fragment_metrics
 
 
@@ -360,6 +376,7 @@ def merge_parallel_metrics(
     results: Dict[int, Relation],
     fragment_metrics: Dict[int, ExecutionMetrics],
     disk: DiskModel,
+    measured: Optional[Dict[int, Tuple[float, float]]] = None,
 ) -> Tuple[Relation, ExecutionMetrics]:
     """The *time* stage: place the executed fragments on the simulated
     worker timelines (:func:`simulate_schedule`) and merge their metrics
@@ -369,7 +386,12 @@ def merge_parallel_metrics(
     times under the same identity — see
     :func:`~repro.execution.metrics.merge_operator_actuals`); peak
     memory is the concurrent peak over fragment reservations plus every
-    exchanged producer buffer held until its last consumer finishes."""
+    exchanged producer buffer held until its last consumer finishes.
+    ``measured`` maps fragment indices to the wall-clock windows a
+    measuring backend recorded.  A one-fragment (serial) plan folds to
+    the serial metrics: one worker, makespan == total, notes
+    unprefixed."""
+    measured = measured or {}
     works = [
         FragmentWork(
             index=f.index,
@@ -385,7 +407,7 @@ def merge_parallel_metrics(
     slot_of = {s.index: s for s in slots}
 
     merged = ExecutionMetrics()
-    merged.workers = plan.workers
+    merged.workers = plan.workers if plan.is_parallel else 1
     merged.makespan_seconds = makespan
     consumers: Dict[int, List[int]] = {}
     for fragment in plan.fragments:
@@ -403,7 +425,8 @@ def merge_parallel_metrics(
         merged.add_charges(metrics)
         for key, value in metrics.counters.items():
             merged.counters[key] = merged.counters.get(key, 0.0) + value
-        merged.notes.extend(f"[f{fragment.index}] {note}" for note in metrics.notes)
+        prefix = f"[f{fragment.index}] " if plan.is_parallel else ""
+        merged.notes.extend(prefix + note for note in metrics.notes)
         merge_operator_actuals(merged.operators, metrics.operators)
         output_bytes = 0.0
         if consumers.get(fragment.index):
@@ -420,6 +443,7 @@ def merge_parallel_metrics(
             tag_intervals.setdefault(tag, []).append(
                 (slot.start_seconds, slot.end_seconds, tag_peak)
             )
+        measured_start, measured_end = measured.get(fragment.index, (0.0, 0.0))
         merged.fragments.append(
             FragmentActuals(
                 index=fragment.index,
@@ -436,6 +460,9 @@ def merge_parallel_metrics(
                 rows_out=relation.num_rows,
                 output_bytes=output_bytes,
                 peak_memory_bytes=metrics.memory.peak_bytes,
+                measured_seconds=measured_end - measured_start,
+                measured_start_seconds=measured_start,
+                measured_end_seconds=measured_end,
                 profile=list(metrics.profile),
             )
         )
@@ -447,27 +474,3 @@ def merge_parallel_metrics(
     final = results[plan.final.index]
     merged.rows_produced = final.num_rows
     return final, merged
-
-
-def run_parallel(
-    plan: ParallelPlan,
-    disk: DiskModel,
-    costs: CostModel,
-    profile: bool = False,
-) -> Tuple[Relation, ExecutionMetrics]:
-    """Execute a fragmented plan on the simulated worker pool and return
-    the final fragment's relation plus the merged metrics.
-
-    Deterministic end to end: fragments run once in topological order
-    (results are exact and never recomputed), the schedule is the pure
-    list dispatch of :func:`simulate_schedule`, and the merged metrics
-    satisfy the invariants the tests pin — per-fragment exclusive
-    IO/CPU sums equal the query totals, ``makespan_seconds`` lies
-    between ``total_seconds / workers`` and ``total_seconds``, and peak
-    memory is the concurrent peak over fragment reservations plus every
-    exchanged (broadcast, partition gather, or rebin shuffle) producer
-    buffer held until its last consumer finishes."""
-    results, fragment_metrics = execute_fragments(
-        plan, disk, costs, profile=profile
-    )
-    return merge_parallel_metrics(plan, results, fragment_metrics, disk)

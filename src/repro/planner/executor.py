@@ -12,10 +12,14 @@ The :class:`Executor` glues the layers of the engine together for one
   lowering (fragments never re-lower) and ``options.backend`` picks the
   execution backend (:mod:`repro.parallel.backends`): the deterministic
   simulated worker pool, or a real ``multiprocessing`` pool that
-  measures wall clock next to the simulated charges;
-* :mod:`repro.execution.operators` runs the plan, charging simulated
-  IO/CPU time and tracking the peak of concurrently live operator
-  memory (the paper's Figure 3 quantity).
+  measures wall clock next to the simulated charges.  A serial plan is
+  the one-fragment case and runs in this process;
+* every plan then takes the same two stages: the *run* stage executes
+  each fragment through :mod:`repro.execution.operators`, charging
+  simulated IO/CPU time and tracking the peak of concurrently live
+  operator memory (the paper's Figure 3 quantity), and the *time*
+  stage (:func:`repro.parallel.merge_parallel_metrics`) folds the
+  fragments into the query's metrics.
 
 Results are identical under every scheme *and every worker count* (the
 integration tests assert this bit-for-bit for all 22 TPC-H queries);
@@ -28,19 +32,19 @@ lowered plan and the worker count.
 
 from __future__ import annotations
 
+import time
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..execution.cost import DEFAULT_COSTS, CostModel
-from ..execution.metrics import ExecutionMetrics, FragmentActuals
-from ..execution.operators import ExecutionContext
+from ..execution.metrics import ExecutionMetrics
 from ..execution.relation import Relation
-from ..observe.profiling import profile_call
 from ..observe.registry import REGISTRY
-from ..parallel.backends import ExecutionBackend, create_backend
-from ..parallel.fragments import ParallelPlan, plan_fragments
+from ..parallel.backends import ExecutionBackend, SimulatedBackend, create_backend
+from ..parallel.fragments import ParallelPlan, plan_fragments, whole_plan
+from ..parallel.scheduler import merge_parallel_metrics
 from ..schemes.base import PhysicalDatabase
 from ..storage.io_model import PAPER_SSD, DiskModel
 from .lowering import ExecutionOptions, PhysicalPlan, lower
@@ -133,9 +137,13 @@ class Executor:
         return pplan
 
     def parallel_plan(self, pplan: PhysicalPlan) -> ParallelPlan:
-        """The fragment plan of a lowered plan for the current worker
-        count (cached; derived from the lowering, never re-lowered)."""
+        """The fragment plan the executor runs for a lowered plan: at
+        one worker the whole plan as one fragment; above, the fragments
+        for the current worker count (cached; derived from the
+        lowering, never re-lowered)."""
         workers = max(int(self.options.workers), 1)
+        if workers == 1:
+            return whole_plan(pplan)
         key = (
             id(pplan.root), workers, int(self.options.min_partition_rows),
             bool(self.options.enable_copartition),
@@ -189,54 +197,39 @@ class Executor:
     def run(self, pplan: PhysicalPlan) -> QueryResult:
         """Execute an already-lowered physical plan (parallel when the
         options ask for workers and the plan has a splittable scan)."""
-        result = self._run(pplan)
+        result = self.run_plan(self.parallel_plan(pplan))
         REGISTRY.inc("queries_executed")
         if result.metrics.delta_rows_scanned:
             REGISTRY.inc("delta_rows_scanned", result.metrics.delta_rows_scanned)
         return result
 
-    def _run(self, pplan: PhysicalPlan) -> QueryResult:
-        if self.options.workers > 1:
-            parallel = self.parallel_plan(pplan)
-            if parallel.is_parallel:
-                with self._span(
-                    "execute", backend=self.options.backend,
-                    workers=parallel.workers, fragments=len(parallel.fragments),
-                ):
-                    relation, metrics = self.backend().run(
-                        parallel, self.disk, self.costs,
-                        profile=self.options.profile,
-                    )
-                self.metrics = metrics
-                return QueryResult(relation, metrics)
-        metrics = ExecutionMetrics()
+    def run_plan(self, parallel: ParallelPlan) -> QueryResult:
+        """The run stage and the time stage of one fragment plan: the
+        options' backend runs a parallel plan, and
+        :func:`merge_parallel_metrics` folds the fragments into the
+        query's metrics.  A one-fragment plan has nothing to dispatch,
+        so it runs in this process whatever the backend."""
+        if parallel.is_parallel:
+            backend = self.backend()
+            span = self._span(
+                "execute", backend=backend.name,
+                workers=parallel.workers, fragments=len(parallel.fragments),
+            )
+        else:
+            backend = SimulatedBackend()
+            span = self._span("execute", backend="serial", workers=1)
+        started = time.perf_counter()
+        with span:
+            results, fragment_metrics, measured = backend.execute_fragments(
+                parallel, self.disk, self.costs, profile=self.options.profile
+            )
+            relation, metrics = merge_parallel_metrics(
+                parallel, results, fragment_metrics, self.disk, measured
+            )
+        if measured:
+            metrics.backend = backend.name
+            metrics.measured_wall_seconds = time.perf_counter() - started
         self.metrics = metrics
-        ctx = ExecutionContext(self.disk, self.costs, metrics)
-        with self._span("execute", backend="serial", workers=1):
-            relation, profile = profile_call(
-                pplan.root.run, ctx, enabled=self.options.profile
-            )
-        metrics.profile = profile
-        metrics.rows_produced = relation.num_rows
-        ctx.release_all()
-        # a serial run is one fragment on one worker: wall clock is the
-        # total, and the fragment-sum invariant holds degenerately
-        metrics.makespan_seconds = metrics.total_seconds
-        metrics.fragments.append(
-            FragmentActuals(
-                index=0,
-                role="serial",
-                description="whole plan, one worker",
-                worker=0,
-                io_end_seconds=metrics.io_seconds,
-                end_seconds=metrics.total_seconds,
-                io_seconds=metrics.io_seconds,
-                cpu_seconds=metrics.cpu_seconds,
-                rows_out=relation.num_rows,
-                peak_memory_bytes=metrics.peak_memory_bytes,
-                profile=profile,
-            )
-        )
         return QueryResult(relation, metrics)
 
     def execute(self, plan) -> QueryResult:

@@ -12,7 +12,7 @@ in/out, exclusive simulated IO and CPU seconds, and reserved operator
 memory — plus the executor's runtime notes (actual group counts, build
 sizes) and the query totals, like SQL's ``EXPLAIN ANALYZE``.
 
-When the executor's options ask for ``workers > 1`` the rendering
+When the executor runs the plan as several fragments the rendering
 switches to the *fragment* view: every plan fragment with its role
 (``partition`` / ``broadcast`` / ``source`` / ``copartition`` /
 ``final``), partition note and dependencies, and under ``analyze`` the
@@ -129,10 +129,13 @@ def format_parallel_plan(
     verbose: bool = True,
     metrics: Optional[ExecutionMetrics] = None,
 ) -> str:
-    """ASCII rendering of a fragmented plan: one block per fragment —
-    role, partition note, dependencies, and (with ``metrics`` from a
-    scheduled run) the assigned worker, makespan contribution and queue
-    wait — each followed by the fragment's operator tree."""
+    """ASCII rendering of the plan the executor runs: one block per
+    fragment — role, partition note, dependencies, and (with ``metrics``
+    from a scheduled run) the assigned worker, makespan contribution and
+    queue wait — each followed by the fragment's operator tree.  A
+    one-fragment (serial) plan renders as its physical plan tree."""
+    if not parallel.is_parallel:
+        return format_physical_plan(parallel.serial, verbose, metrics)
     actuals_by_index = {}
     if metrics is not None:
         actuals_by_index = {f.index: f for f in metrics.fragments}
@@ -181,26 +184,19 @@ def _decisions(pplan: PhysicalPlan) -> List[str]:
 
 def explain(executor: Executor, plan, analyze: bool = False) -> str:
     """Physical plan + strategy decisions; with ``analyze``, also run the
-    query and report actual notes and simulated costs.  With
-    ``options.workers > 1`` the plan is rendered as its fragments."""
+    query and report actual notes and simulated costs.  A plan the
+    executor runs as several fragments is rendered as its fragments."""
     pplan = executor.lower(plan)
-    parallel: Optional[ParallelPlan] = None
-    if executor.options.workers > 1:
-        parallel = executor.parallel_plan(pplan)
-        if not parallel.is_parallel:
-            parallel = None
+    parallel = executor.parallel_plan(pplan)
     metrics: Optional[ExecutionMetrics] = None
     if analyze:
         metrics = executor.run(pplan).metrics
     scheme_line = f"scheme: {executor.pdb.scheme_name}"
-    if parallel is not None:
+    if parallel.is_parallel:
         scheme_line += f", workers: {parallel.workers}"
-        body = format_parallel_plan(parallel, verbose=True, metrics=metrics)
-    else:
-        body = format_physical_plan(pplan, verbose=True, metrics=metrics)
     parts = [
         scheme_line,
-        body,
+        format_parallel_plan(parallel, verbose=True, metrics=metrics),
         "",
         "decisions:",
     ]

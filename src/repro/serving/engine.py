@@ -40,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..execution.cost import DEFAULT_COSTS, CostModel
 from ..execution.metrics import ExecutionMetrics
-from ..execution.operators import ExecutionContext, walk_physical
+from ..execution.operators import walk_physical
 from ..observe.registry import REGISTRY
 from ..planner.executor import ExecutionOptions, Executor
 from ..schemes.base import PhysicalDatabase
@@ -296,101 +296,48 @@ class _ServeState:
         self.log("execute", ticket.stream, ticket.seq)
         REGISTRY.inc("serving.admitted")
 
-        pplan = engine.executor.lower(ticket.plan)
-        parallel = None
-        if engine.options.workers > 1:
-            candidate = engine.executor.parallel_plan(pplan)
-            if candidate.is_parallel:
-                parallel = candidate
-
-        merged = ExecutionMetrics()
-        merged.workers = engine.workers
-        admit_now = self.sim.now
+        # the solo run stage and metrics fold; only the makespan comes
+        # from the shared timeline, set when the final fragment ends
+        parallel = engine.executor.parallel_plan(
+            engine.executor.lower(ticket.plan)
+        )
+        result = engine.executor.run_plan(parallel)
+        global_index: Dict[int, int] = {}
         works: List[FragmentWork] = []
-        if parallel is not None:
-            results, fragment_metrics = engine.executor.backend().execute_fragments(
-                parallel, engine.disk, engine.costs,
-                profile=engine.options.profile,
-            )
-            relation = results[parallel.final.index]
-            local_to_global: Dict[int, int] = {}
-            final_fragment = parallel.final
-            for fragment in parallel.fragments:
-                metrics = fragment_metrics[fragment.index]
-                merged.add_charges(metrics)
-                label = f"{ticket.description} f{fragment.index}"
-                info = _WorkInfo(
-                    kind="fragment", label=label, stream=ticket.stream,
-                    io_seconds=metrics.io_seconds,
-                    cpu_seconds=metrics.cpu_seconds,
-                )
-                work = self.new_work(
-                    info,
-                    depends_on=tuple(
-                        local_to_global[dep] for dep in fragment.depends_on
-                    ),
-                )
-                local_to_global[fragment.index] = work.index
-                works.append(work)
-                if fragment is final_fragment:
-                    info.finish = self.query_finisher(
-                        ticket, snapshot, relation, merged,
-                        admit_now, len(parallel.fragments),
-                        reorders=parallel.reorders,
-                        reaggregates=parallel.reaggregates,
-                    )
-        else:
-            metrics = ExecutionMetrics()
-            ctx = ExecutionContext(engine.disk, engine.costs, metrics)
-            relation = pplan.root.run(ctx)
-            ctx.release_all()
-            merged.add_charges(metrics)
+        for fragment in result.metrics.fragments:
+            label = ticket.description
+            if parallel.is_parallel:
+                label += f" f{fragment.index}"
             info = _WorkInfo(
-                kind="fragment", label=ticket.description,
-                stream=ticket.stream,
-                io_seconds=metrics.io_seconds,
-                cpu_seconds=metrics.cpu_seconds,
+                kind="fragment", label=label, stream=ticket.stream,
+                io_seconds=fragment.io_seconds,
+                cpu_seconds=fragment.cpu_seconds,
             )
-            info.finish = self.query_finisher(
-                ticket, snapshot, relation, merged, admit_now, 1,
-                reorders=False, reaggregates=False,
+            work = self.new_work(
+                info,
+                depends_on=tuple(global_index[d] for d in fragment.depends_on),
             )
-            works.append(self.new_work(info))
+            global_index[fragment.index] = work.index
+            works.append(work)
+        admit_now = self.sim.now
 
-        # reads must not move epochs: the MVCC invariant, checked hot
-        snapshot.check(engine.pdb)
-        merged.rows_produced = relation.num_rows
-        self.inflight += 1
-        self.sim.add_works(works)
-
-    def query_finisher(
-        self,
-        ticket: QueryTicket,
-        snapshot: EpochSnapshot,
-        relation,
-        merged: ExecutionMetrics,
-        admit_seconds: float,
-        fragment_count: int,
-        reorders: bool,
-        reaggregates: bool,
-    ) -> Callable[[float], None]:
         def finish(now: float) -> None:
-            merged.makespan_seconds = now - admit_seconds
+            result.metrics.makespan_seconds = now - admit_now
             record = QueryRecord(
                 stream=ticket.stream,
                 seq=ticket.seq,
                 global_seq=ticket.submit_seq,
                 description=ticket.description,
                 submit_seconds=ticket.submitted,
-                admit_seconds=admit_seconds,
+                admit_seconds=admit_now,
                 finish_seconds=now,
                 snapshot=snapshot,
-                reorders=reorders,
-                reaggregates=reaggregates,
-                rows=relation.num_rows,
-                fragment_count=fragment_count,
-                metrics=merged,
-                relation=relation if self.engine.keep_results else None,
+                reorders=parallel.reorders,
+                reaggregates=parallel.reaggregates,
+                rows=result.relation.num_rows,
+                fragment_count=len(parallel.fragments),
+                metrics=result.metrics,
+                relation=result.relation if engine.keep_results else None,
             )
             self.report.queries.append(record)
             self.inflight -= 1
@@ -398,10 +345,10 @@ class _ServeState:
             if self.observer is not None:
                 # a served query adds no trace slices of its own: its
                 # fragments already sit on the serving timeline
-                pdb = self.engine.pdb
+                pdb = engine.pdb
                 self.observer(
                     f"{record.description}/{pdb.scheme_name}/{record.stream}",
-                    record.metrics, pdb, pdb.scheme_name, self.engine.options,
+                    record.metrics, pdb, pdb.scheme_name, engine.options,
                     relation=record.relation, timelines=(),
                 )
             # closed loop: the stream submits its next query now
@@ -409,7 +356,13 @@ class _ServeState:
             if stream is not None:
                 self.push(now, _EVENT_SUBMIT, stream, ticket.seq + 1)
 
-        return finish
+        # the final fragment comes last and completes the query
+        info.finish = finish
+
+        # reads must not move epochs: the MVCC invariant, checked hot
+        snapshot.check(engine.pdb)
+        self.inflight += 1
+        self.sim.add_works(works)
 
     # ----------------------------------------------------------- commits
     def process_commit(self, stream: RefreshStream, index: int) -> None:

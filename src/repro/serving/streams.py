@@ -25,6 +25,7 @@ import numpy as np
 
 from ..planner.executor import ExecutionOptions, Executor
 from ..storage.database import Database
+from ..tpch.runner import QueryRunner
 from ..updates.session import UpdateSession
 from ..workload.generator import PlanGenerator
 from ..workload.updates import UpdateGenerator
@@ -163,30 +164,6 @@ class TpchRefreshStream(RefreshStream):
 
 
 # ----------------------------------------------------- TPC-H capture
-class _CapturingRunner:
-    """A :class:`~repro.tpch.runner.QueryRunner`-shaped probe that
-    records each stage's *logical* plan while executing it (multi-stage
-    queries parametrize stage N+1 from stage N's result, so capture
-    must actually run the stages)."""
-
-    def __init__(self, executor: Executor):
-        self.executor = executor
-        self.logical_plans: List[object] = []
-
-    @property
-    def database(self) -> Database:
-        return self.executor.pdb.database
-
-    @property
-    def scale_factor(self) -> float:
-        sf = self.database.scale_factor
-        return 1.0 if sf is None else sf
-
-    def execute(self, plan):
-        self.logical_plans.append(plan)
-        return self.executor.execute(plan)
-
-
 def capture_tpch_items(
     pdb,
     queries: Dict[str, Callable],
@@ -204,7 +181,7 @@ def capture_tpch_items(
     options = ExecutionOptions(workers=1)
     with Executor(pdb, disk=disk, costs=costs, options=options) as executor:
         for qname, fn in queries.items():
-            runner = _CapturingRunner(executor)
+            runner = QueryRunner(executor)
             fn(runner)
             stages = runner.logical_plans
             for position, plan in enumerate(stages):

@@ -20,7 +20,7 @@ from typing import List
 
 from ..observe import SCHEMA_VERSION, ObservabilitySink, add_run_flags
 from ..planner.executor import ExecutionOptions, Executor
-from ..planner.explain import format_parallel_plan, format_physical_plan
+from ..planner.explain import format_parallel_plan
 from .datagen import generate
 from .environment import make_environment
 from .harness import build_schemes, run_suite
@@ -262,17 +262,12 @@ def main(argv: List[str] | None = None) -> int:
                     for stage, pplan in enumerate(runner.physical_plans):
                         if len(runner.physical_plans) > 1:
                             print(f"-- stage {stage + 1}")
-                        stage_metrics = runner.stage_metrics[stage]
-                        if options.workers > 1:
-                            parallel = executor.parallel_plan(pplan)
-                            if parallel.is_parallel:
-                                print(
-                                    format_parallel_plan(
-                                        parallel, metrics=stage_metrics
-                                    )
-                                )
-                                continue
-                        print(format_physical_plan(pplan, metrics=stage_metrics))
+                        print(
+                            format_parallel_plan(
+                                executor.parallel_plan(pplan),
+                                metrics=runner.stage_metrics[stage],
+                            )
+                        )
                     print(
                         "cost: %.3f ms simulated, peak memory %.3f MB, %d rows"
                         % (

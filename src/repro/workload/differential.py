@@ -643,7 +643,7 @@ def _check_one_query(
             # comparison above already covers them; everything else must
             # still match the serial run bit-for-bit, order included
             parallel = executor.parallel_plan(executor.lower(query.plan))
-            if not (parallel.is_parallel and parallel.reorders):
+            if not parallel.reorders:
                 check = "serial"
                 mismatch = result_mismatch(
                     serial_relations[scheme], result.relation, exact=True

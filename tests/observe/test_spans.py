@@ -100,6 +100,51 @@ class TestExecutorIntegration:
         child_names = [c.name for c in tracer.roots[0].children]
         assert child_names == ["lower", "execute"]
 
+    @pytest.mark.parametrize(
+        "workers, plan, expected",
+        [
+            (1, scan("lineitem"), [
+                ("lower", {}), ("execute", {"backend": "serial", "workers": 1}),
+            ]),
+            (4, scan("region"), [
+                ("lower", {}), ("fragment", {"workers": 4}),
+                ("execute", {"backend": "serial", "workers": 1}),
+            ]),
+            (4, scan("lineitem"), [
+                ("lower", {}), ("fragment", {"workers": 4}),
+                ("execute", {"backend": "simulated", "workers": 4}),
+            ]),
+        ],
+        ids=["serial", "one-fragment", "parallel"],
+    )
+    def test_layer_spans_and_cache_counters(
+        self, bdcc_db, environment, workers, plan, expected
+    ):
+        """The spans and counters the layer metrics read: every run
+        has one ``execute`` span, ``backend="serial"`` unless fragments
+        are dispatched; a one-worker run never fragments (no span, no
+        fragment-cache lookup)."""
+        from repro.observe.registry import REGISTRY
+
+        tracer = SpanTracer()
+        executor = Executor(
+            bdcc_db, disk=environment.disk, costs=environment.cost_model,
+            options=ExecutionOptions(workers=workers), tracer=tracer,
+        )
+        before = dict(REGISTRY.counters)
+        executor.execute(plan)
+        counters = {
+            key for key, value in REGISTRY.counters.items()
+            if value != before.get(key, 0.0)
+        }
+        (query,) = tracer.roots
+        spans = [(c.name, c.attributes) for c in query.children]
+        assert [name for name, _ in spans] == [name for name, _ in expected]
+        for (_, attributes), (_, subset) in zip(spans, expected):
+            assert subset.items() <= attributes.items()
+        fragments = ("fragment_cache.hits", "fragment_cache.misses")
+        assert any(key in counters for key in fragments) == (workers > 1)
+
     def test_runner_records_query_spans(self, bdcc_db, environment):
         tracer = SpanTracer()
         _run(bdcc_db, environment, "Q06", workers=4, tracer=tracer)

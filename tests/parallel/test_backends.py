@@ -10,6 +10,8 @@ round and the seeded workload sweep carry the ``backend`` marker and
 run in their own CI job.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,71 @@ class TestBackendBasics:
         assert proc_metrics.fragments
         assert any(f.measured_seconds > 0.0 for f in proc_metrics.fragments)
         assert all(f.measured_seconds >= 0.0 for f in proc_metrics.fragments)
+
+
+def _comparable(metrics):
+    """Every deterministic field of an execution's metrics."""
+    return (
+        metrics.io_bytes, metrics.io_accesses, metrics.io_seconds,
+        metrics.cpu_seconds, metrics.rows_scanned, metrics.rows_produced,
+        metrics.delta_rows_scanned, metrics.workers, metrics.makespan_seconds,
+        metrics.backend, metrics.measured_wall_seconds,
+        metrics.peak_memory_bytes, metrics.memory.tag_peaks,
+        metrics.counters, metrics.notes,
+        sorted(metrics.operators.values(), key=repr), metrics.fragments,
+    )
+
+
+class TestOneFragmentPlans:
+    """A plan with nothing to split runs as one ``serial`` fragment
+    through the same run and time stages at every worker count and on
+    every backend, and folds to exactly the serial metrics."""
+
+    @staticmethod
+    def _plan():
+        from repro.execution import AggSpec, col
+        from repro.planner.logical import scan
+
+        # 25 nations x 5 regions: far below min_partition_rows
+        return scan("nation").join(
+            scan("region"), on=[("n_regionkey", "r_regionkey")]
+        ).groupby(["r_name"], [AggSpec("nations", "count", col("n_nationkey"))])
+
+    def _run(self, pdb, environment, **options):
+        children = multiprocessing.active_children()
+        with Executor(
+            pdb, disk=environment.disk, costs=environment.cost_model,
+            options=ExecutionOptions(**options),
+        ) as executor:
+            plan = self._plan()
+            parallel = executor.parallel_plan(executor.lower(plan))
+            assert not parallel.is_parallel
+            result = executor.execute(plan)
+            # nothing to dispatch: no backend started a pool
+            assert multiprocessing.active_children() == children
+            return result
+
+    def test_workers_two_equals_workers_one(self, bdcc_db, environment):
+        serial = self._run(bdcc_db, environment, workers=1)
+        two = self._run(bdcc_db, environment, workers=2)
+        assert _identical(serial.relation, two.relation)
+        assert _comparable(two.metrics) == _comparable(serial.metrics)
+        (fragment,) = two.metrics.fragments
+        assert fragment.role == "serial"
+        assert two.metrics.workers == 1
+        assert two.metrics.makespan_seconds == two.metrics.total_seconds
+        assert two.metrics.operators and two.metrics.peak_memory_bytes > 0.0
+
+    def test_process_backend_runs_it_in_process(self, bdcc_db, environment):
+        serial = self._run(bdcc_db, environment, workers=1)
+        process = self._run(bdcc_db, environment, workers=2, backend="process")
+        assert multiprocessing.active_children() == []
+        assert process.metrics.backend == "simulated"
+        assert process.metrics.measured_wall_seconds == 0.0
+        assert _identical(serial.relation, process.relation)
+        assert _comparable(process.metrics) == _comparable(serial.metrics)
+        (fragment,) = process.metrics.fragments
+        assert fragment.role == "serial"
 
 
 # -------------------------------------------------- backend matrix (CI job)
